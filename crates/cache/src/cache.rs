@@ -117,6 +117,13 @@ pub struct PrebuiltHead {
 /// path.
 pub type HeadBuilder = Arc<dyn Fn(&Bytes, u64) -> PrebuiltHead + Send + Sync>;
 
+/// The head built during one fan-out of a body to several caches,
+/// tagged with the builder and the version it was built for:
+/// [`CacheFleet::distribute`](crate::CacheFleet::distribute) builds it
+/// once and every member that assigns the same version with the same
+/// builder reuses it.
+pub(crate) type HeadMemo = Option<(HeadBuilder, u64, PrebuiltHead)>;
+
 /// A successful cache lookup.
 #[derive(Debug, Clone)]
 pub struct CachedPage {
@@ -415,6 +422,29 @@ impl PageCache {
         self.head_builder.get().map(|b| b(body, version))
     }
 
+    /// [`PageCache::build_head`] through `memo`: reuse the memoised head
+    /// when it was built by this cache's builder for `version`, else
+    /// build one (and memoise it if the memo is still empty). The caller
+    /// guarantees every use of one memo sees the same body.
+    fn build_head_shared(
+        &self,
+        body: &Bytes,
+        version: u64,
+        memo: &mut HeadMemo,
+    ) -> Option<PrebuiltHead> {
+        let builder = self.head_builder.get()?;
+        if let Some((b, v, head)) = memo {
+            if *v == version && Arc::ptr_eq(b, builder) {
+                return Some(head.clone());
+            }
+        }
+        let head = builder(body, version);
+        if memo.is_none() {
+            *memo = Some((Arc::clone(builder), version, head.clone()));
+        }
+        Some(head)
+    }
+
     /// Advance the cache clock (monotonic micros derived from `secs`).
     /// Stale-copy ages are measured against this clock, so the owner
     /// decides what "time" means — sim time in the cluster simulation.
@@ -494,6 +524,18 @@ impl PageCache {
     /// fresh insert). `cost` is the page's generation cost in milliseconds,
     /// used by GreedyDual-Size.
     pub fn put(&self, key: &str, body: Bytes, cost: f64) -> u64 {
+        self.put_sharing_head(key, body, cost, &mut None)
+    }
+
+    /// [`PageCache::put`], taking the entry's head from `memo` when it
+    /// fits (see [`HeadMemo`]).
+    pub(crate) fn put_sharing_head(
+        &self,
+        key: &str,
+        body: Bytes,
+        cost: f64,
+        memo: &mut HeadMemo,
+    ) -> u64 {
         let size = body.len() as u64;
         let mut shard = self.shard_for(key).lock();
         shard.tick += 1;
@@ -504,7 +546,7 @@ impl PageCache {
             let old = e.body.len() as u64;
             e.version += 1;
             version = e.version;
-            e.head = self.build_head(&body, version);
+            e.head = self.build_head_shared(&body, version, memo);
             e.body = body;
             e.cost = cost;
             e.stamp = tick;
@@ -522,7 +564,7 @@ impl PageCache {
         } else {
             let k: Arc<str> = Arc::from(key);
             version = 1;
-            let head = self.build_head(&body, 1);
+            let head = self.build_head_shared(&body, 1, memo);
             shard.map.insert(
                 Arc::clone(&k),
                 Entry {

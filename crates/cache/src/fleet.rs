@@ -78,10 +78,14 @@ impl CacheFleet {
     }
 
     /// Distribute a freshly rendered page to every member (the trigger
-    /// monitor's prefetch/update-in-place path).
+    /// monitor's prefetch/update-in-place path). The response head is
+    /// built once and shared by every member that assigns the page the
+    /// same new version; a member whose version diverged (a local fill,
+    /// a resync) builds its own.
     pub fn distribute(&self, key: &str, body: Bytes, cost: f64) {
+        let mut head = None;
         for m in &self.members {
-            m.put(key, body.clone(), cost);
+            m.put_sharing_head(key, body.clone(), cost, &mut head);
         }
     }
 
@@ -198,6 +202,7 @@ impl CacheFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::PrebuiltHead;
 
     fn body(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
@@ -222,6 +227,48 @@ mod tests {
         // Bytes clones are refcounted views of one buffer.
         let got = fleet.member(0).peek("/x").unwrap().body;
         assert_eq!(got.as_ptr(), b.as_ptr());
+    }
+
+    #[test]
+    fn distribute_builds_one_head_and_diverged_members_their_own() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let fleet = CacheFleet::new(4, CacheConfig::default());
+        let builds = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&builds);
+        fleet.set_head_builder(Arc::new(move |body: &Bytes, version: u64| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            PrebuiltHead {
+                pre: Bytes::from(format!("ETag: \"v{version}\" len {}", body.len())),
+                post: Bytes::new(),
+            }
+        }));
+        fleet.distribute("/p", body("one"), 1.0);
+        assert_eq!(
+            builds.load(Ordering::Relaxed),
+            1,
+            "one head for four members"
+        );
+        let shared = fleet.member(0).peek("/p").unwrap().head.unwrap().pre;
+        for i in 1..4 {
+            let head = fleet.member(i).peek("/p").unwrap().head.unwrap().pre;
+            assert_eq!(head.as_ptr(), shared.as_ptr(), "member {i} shares the head");
+        }
+        // Member 2 diverges: a local fill puts it one version ahead.
+        fleet.put_local(2, "/p", body("local"), 1.0);
+        builds.store(0, Ordering::Relaxed);
+        fleet.distribute("/p", body("three"), 1.0);
+        assert_eq!(
+            builds.load(Ordering::Relaxed),
+            2,
+            "shared head + the diverged one"
+        );
+        for i in 0..4 {
+            let page = fleet.member(i).peek("/p").unwrap();
+            let etag = format!("ETag: \"v{}\" len 5", page.version);
+            assert_eq!(&page.head.unwrap().pre[..], etag.as_bytes(), "member {i}");
+        }
+        assert_eq!(fleet.member(2).peek("/p").unwrap().version, 3);
+        assert_eq!(fleet.member(0).peek("/p").unwrap().version, 2);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::schema::{
@@ -18,19 +19,42 @@ use crate::schema::{
 };
 use crate::table::Table;
 use crate::txn::{RecordChange, Transaction, TxnLog};
+use crate::view::DbView;
 
+/// The tables plus the secondary indexes the mutations maintain. Each
+/// `*_by_*` index lists ids in id order, so an indexed read returns
+/// exactly the rows, in exactly the order, of a full scan.
 #[derive(Debug, Default)]
-struct Tables {
-    sports: Table<SportId, Sport>,
-    events: Table<EventId, Event>,
-    athletes: Table<AthleteId, Athlete>,
-    countries: Table<CountryId, Country>,
-    results: Table<ResultId, ResultRow>,
-    results_by_event: FxHashMap<EventId, Vec<ResultId>>,
-    medals: Table<CountryId, MedalCount>,
-    news: Table<NewsId, NewsArticle>,
-    photos: Table<PhotoId, Photo>,
+pub(crate) struct Tables {
+    pub(crate) sports: Table<SportId, Sport>,
+    pub(crate) events: Table<EventId, Event>,
+    pub(crate) athletes: Table<AthleteId, Athlete>,
+    pub(crate) countries: Table<CountryId, Country>,
+    pub(crate) results: Table<ResultId, ResultRow>,
+    pub(crate) results_by_event: FxHashMap<EventId, Vec<ResultId>>,
+    pub(crate) results_by_athlete: FxHashMap<AthleteId, Vec<ResultId>>,
+    pub(crate) athletes_by_country: FxHashMap<CountryId, Vec<AthleteId>>,
+    pub(crate) medals: Table<CountryId, MedalCount>,
+    /// `medals` in standings order, re-sorted whenever a tally changes.
+    pub(crate) standings: Vec<(CountryId, MedalCount)>,
+    pub(crate) news: Table<NewsId, NewsArticle>,
+    pub(crate) photos: Table<PhotoId, Photo>,
     next_result: u32,
+}
+
+/// Standings order: gold, then total medals (both descending), then id.
+fn standings_order(a: &(CountryId, MedalCount), b: &(CountryId, MedalCount)) -> Ordering {
+    b.1.gold
+        .cmp(&a.1.gold)
+        .then(b.1.total().cmp(&a.1.total()))
+        .then(a.0.cmp(&b.0))
+}
+
+impl Tables {
+    fn resort_standings(&mut self) {
+        self.standings = self.medals.iter().map(|(id, m)| (id, *m)).collect();
+        self.standings.sort_by(standings_order);
+    }
 }
 
 /// The Olympic site database.
@@ -56,6 +80,14 @@ impl OlympicDb {
         self.log.subscribe()
     }
 
+    /// A consistent read view: one shared lock held until the view drops.
+    /// Its accessors borrow rows instead of cloning them. While a view is
+    /// alive its thread must take no other lock on this database — a
+    /// second read queues behind any waiting writer and deadlocks.
+    pub fn view(&self) -> DbView<'_> {
+        DbView::new(|| self.tables.read())
+    }
+
     // ----- unlogged initial loading -------------------------------------
 
     /// Load a sport (seeding; not logged).
@@ -70,7 +102,17 @@ impl OlympicDb {
 
     /// Load an athlete (seeding; not logged).
     pub fn load_athlete(&self, a: Athlete) {
-        self.tables.write().athletes.upsert(a.id, a);
+        let mut t = self.tables.write();
+        let (id, country) = (a.id, a.country);
+        if let Some(old) = t.athletes.upsert(id, a) {
+            if let Some(ids) = t.athletes_by_country.get_mut(&old.country) {
+                ids.retain(|&x| x != id);
+            }
+        }
+        let ids = t.athletes_by_country.entry(country).or_default();
+        if let Err(at) = ids.binary_search(&id) {
+            ids.insert(at, id);
+        }
     }
 
     /// Load a country (seeding; not logged). Starts its medal tally at 0.
@@ -78,6 +120,7 @@ impl OlympicDb {
         let mut t = self.tables.write();
         t.medals.upsert(c.id, MedalCount::default());
         t.countries.upsert(c.id, c);
+        t.resort_standings();
     }
 
     // ----- logged mutations ----------------------------------------------
@@ -124,6 +167,7 @@ impl OlympicDb {
                     },
                 );
                 t.results_by_event.entry(event).or_default().push(id);
+                t.results_by_athlete.entry(athlete).or_default().push(id);
                 changes.push(RecordChange::update(athlete.data_key()));
                 if let Some(a) = t.athletes.get(athlete) {
                     changes.push(RecordChange::update(a.country.data_key()));
@@ -150,6 +194,7 @@ impl OlympicDb {
                         _ => tally.bronze += 1,
                     }
                 }
+                t.resort_standings();
                 changes.push(RecordChange::update(medals_data_key()));
             } else if let Some(e) = t.events.get_mut(event) {
                 if e.phase == EventPhase::Scheduled {
@@ -190,182 +235,104 @@ impl OlympicDb {
     }
 
     // ----- queries ---------------------------------------------------------
+    //
+    // Owned-row conveniences: each one clones out of a short-lived
+    // [`DbView`], the single implementation of every query.
 
     /// Fetch a sport.
     pub fn sport(&self, id: SportId) -> Option<Sport> {
-        self.tables.read().sports.get(id).cloned()
+        self.view().sport(id).cloned()
     }
 
     /// Fetch an event.
     pub fn event(&self, id: EventId) -> Option<Event> {
-        self.tables.read().events.get(id).cloned()
+        self.view().event(id).cloned()
     }
 
     /// Fetch an athlete.
     pub fn athlete(&self, id: AthleteId) -> Option<Athlete> {
-        self.tables.read().athletes.get(id).cloned()
+        self.view().athlete(id).cloned()
     }
 
     /// Fetch a country.
     pub fn country(&self, id: CountryId) -> Option<Country> {
-        self.tables.read().countries.get(id).cloned()
+        self.view().country(id).cloned()
     }
 
     /// Fetch a news article.
     pub fn news(&self, id: NewsId) -> Option<NewsArticle> {
-        self.tables.read().news.get(id).cloned()
+        self.view().news(id).cloned()
     }
 
     /// All sports (id order).
     pub fn sports(&self) -> Vec<Sport> {
-        self.tables
-            .read()
-            .sports
-            .iter()
-            .map(|(_, s)| s.clone())
-            .collect()
+        self.view().sports().cloned().collect()
     }
 
     /// All events (id order).
     pub fn events(&self) -> Vec<Event> {
-        self.tables
-            .read()
-            .events
-            .iter()
-            .map(|(_, e)| e.clone())
-            .collect()
+        self.view().events().cloned().collect()
     }
 
     /// All countries (id order).
     pub fn countries(&self) -> Vec<Country> {
-        self.tables
-            .read()
-            .countries
-            .iter()
-            .map(|(_, c)| c.clone())
-            .collect()
+        self.view().countries().cloned().collect()
     }
 
     /// All athletes (id order).
     pub fn athletes(&self) -> Vec<Athlete> {
-        self.tables
-            .read()
-            .athletes
-            .iter()
-            .map(|(_, a)| a.clone())
-            .collect()
+        self.view().athletes().cloned().collect()
     }
 
     /// Events concluding on `day`, id order.
     pub fn events_on_day(&self, day: u32) -> Vec<Event> {
-        self.tables
-            .read()
-            .events
-            .select(move |e| e.day == day)
-            .cloned()
-            .collect()
+        self.view().events_on_day(day).cloned().collect()
     }
 
     /// Events of a sport, id order.
     pub fn events_of_sport(&self, sport: SportId) -> Vec<Event> {
-        self.tables
-            .read()
-            .events
-            .select(move |e| e.sport == sport)
-            .cloned()
-            .collect()
+        self.view().events_of_sport(sport).cloned().collect()
     }
 
     /// Athletes of a country, id order.
     pub fn athletes_of_country(&self, country: CountryId) -> Vec<Athlete> {
-        self.tables
-            .read()
-            .athletes
-            .select(move |a| a.country == country)
-            .cloned()
-            .collect()
+        self.view().athletes_of_country(country).cloned().collect()
     }
 
     /// Athletes competing in a sport, id order.
     pub fn athletes_of_sport(&self, sport: SportId) -> Vec<Athlete> {
-        self.tables
-            .read()
-            .athletes
-            .select(move |a| a.sport == sport)
-            .cloned()
-            .collect()
+        self.view().athletes_of_sport(sport).cloned().collect()
     }
 
     /// Results recorded for an event, in insertion order.
     pub fn results_for_event(&self, event: EventId) -> Vec<ResultRow> {
-        let t = self.tables.read();
-        t.results_by_event
-            .get(&event)
-            .map(|ids| {
-                ids.iter()
-                    .filter_map(|&id| t.results.get(id).cloned())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.view().results_for_event(event).cloned().collect()
     }
 
     /// Results involving an athlete, id order.
     pub fn results_for_athlete(&self, athlete: AthleteId) -> Vec<ResultRow> {
-        self.tables
-            .read()
-            .results
-            .select(move |r| r.athlete == athlete)
-            .cloned()
-            .collect()
+        self.view().results_for_athlete(athlete).cloned().collect()
     }
 
     /// Medal standings sorted by gold, then total, then id.
     pub fn medal_standings(&self) -> Vec<(CountryId, MedalCount)> {
-        let t = self.tables.read();
-        let mut rows: Vec<(CountryId, MedalCount)> =
-            t.medals.iter().map(|(id, m)| (id, *m)).collect();
-        rows.sort_by(|a, b| {
-            b.1.gold
-                .cmp(&a.1.gold)
-                .then(b.1.total().cmp(&a.1.total()))
-                .then(a.0.cmp(&b.0))
-        });
-        rows
+        self.view().medal_standings().to_vec()
     }
 
     /// News published on `day`, id order.
     pub fn news_on_day(&self, day: u32) -> Vec<NewsArticle> {
-        self.tables
-            .read()
-            .news
-            .select(move |n| n.day == day)
-            .cloned()
-            .collect()
+        self.view().news_on_day(day).cloned().collect()
     }
 
     /// Photos about an event, id order.
     pub fn photos_for_event(&self, event: EventId) -> Vec<Photo> {
-        self.tables
-            .read()
-            .photos
-            .select(move |p| p.about_event == Some(event))
-            .cloned()
-            .collect()
+        self.view().photos_for_event(event).cloned().collect()
     }
 
     /// Row counts: (sports, events, athletes, countries, results, news,
     /// photos).
     pub fn counts(&self) -> (usize, usize, usize, usize, usize, usize, usize) {
-        let t = self.tables.read();
-        (
-            t.sports.len(),
-            t.events.len(),
-            t.athletes.len(),
-            t.countries.len(),
-            t.results.len(),
-            t.news.len(),
-            t.photos.len(),
-        )
+        self.view().counts()
     }
 }
 

@@ -6,7 +6,8 @@
 //! exactly three things, all provided here:
 //!
 //! 1. **Typed tables** of domain rows (sports, events, athletes, countries,
-//!    results, medal tallies, news, photos) — [`schema`], [`table`].
+//!    results, medal tallies, news, photos) — [`schema`], [`table`] —
+//!    read through one borrowed, indexed [`view::DbView`] at a time.
 //! 2. **A transaction log**: every committed mutation appends a
 //!    [`txn::Transaction`] carrying the canonical *data keys* of the
 //!    changed records (the identities that become underlying-data vertices
@@ -26,6 +27,7 @@ pub mod schema;
 pub mod seed;
 pub mod table;
 pub mod txn;
+pub mod view;
 
 pub use database::OlympicDb;
 pub use replication::{DeliverOutcome, Replica};
@@ -35,3 +37,4 @@ pub use schema::{
 };
 pub use seed::{seed_games, GamesConfig};
 pub use txn::{ChangeOp, RecordChange, Transaction, TxnId, TxnLog, SUBSCRIBER_CAPACITY};
+pub use view::DbView;

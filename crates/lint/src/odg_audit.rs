@@ -8,10 +8,10 @@
 //! `FragmentKey` is an ODG registration site, and within each arm we
 //! compare
 //!
-//! * the **reads** — `self.db.<method>(…)` calls, mapped to the data
-//!   family they touch (`events_on_day` reads `data:today:*` and
-//!   `data:event:*`, `medal_standings` reads `data:medals:*`, …) —
-//!   against
+//! * the **reads** — `db.<method>(…)` calls (the renderer binds its one
+//!   database view as `db`), mapped to the data family they touch
+//!   (`events_on_day` reads `data:today:*` and `data:event:*`,
+//!   `medal_standings` reads `data:medals:*`, …) — against
 //! * the **edges** — `deps.push(Dependency::…)` calls, classified by
 //!   the key expression (`today_data_key(day)` → today,
 //!   `FragmentKey::MedalTable` → a fragment edge, `c.data_key()` → the
@@ -38,7 +38,8 @@ use crate::rules::Diagnostic;
 /// Data-key families (the `<family>` in `data:<family>:<id>`).
 type Family = &'static str;
 
-/// `self.db.<method>(…)` → the data families the method reads.
+/// `db.<method>(…)` → the data families the method reads. Every view
+/// accessor the renderer calls must be listed, or its reads go unaudited.
 const METHOD_FAMILIES: &[(&str, &[Family])] = &[
     ("athlete", &["athlete"]),
     ("athletes_of_country", &["country"]),
@@ -47,6 +48,7 @@ const METHOD_FAMILIES: &[(&str, &[Family])] = &[
     ("event", &["event"]),
     ("events_of_sport", &["sport"]),
     ("events_on_day", &["today", "event"]),
+    ("medal_count", &["medals"]),
     ("medal_standings", &["medals"]),
     ("news", &["news"]),
     ("news_on_day", &["today", "news"]),
@@ -601,6 +603,33 @@ mod tests {
         assert!(o001[0].message.contains("medal_standings"));
         // The country edge itself is live (athletes_of_country reads it).
         assert!(diags.iter().all(|d| d.rule != "O002"), "{diags:?}");
+    }
+
+    #[test]
+    fn per_country_medal_read_through_the_view_needs_the_medals_edge() {
+        let arm = |edges: &str| {
+            format!(
+                "
+            fn compose(&self, db: &DbView<'_>, key: PageKey, deps: &mut Vec<Dependency>) {{
+                match key {{
+                    PageKey::Country(c) => {{
+                        deps.push(Dependency::new(c.data_key()));{edges}
+                        let name = db.country(c);
+                        let tally = db.medal_count(c);
+                    }}
+                }}
+            }}
+        "
+            )
+        };
+        let diags = run_on(&[("crates/pagegen/src/r.rs", &arm(""))]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].rule, diags[0].line), ("O001", 7));
+        assert!(diags[0].message.contains("medal_count"), "{diags:?}");
+        let covered = arm(
+            "\n                        deps.push(Dependency::weighted(medals_data_key(), 0.25));",
+        );
+        assert!(run_on(&[("crates/pagegen/src/r.rs", &covered)]).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 // Fixture: pagegen renderer with ODG defects — `Standings` registers a
-// medals edge it never reads (O002), `Roster` reads country data with
-// no covering edge (O001). `ScheduleRow` coverage comes from
-// fragments.rs in this fixture workspace.
+// medals edge it never reads (O002); `Roster` and `Country` read country
+// and medal data with no covering edge (O001). `ScheduleRow` coverage
+// comes from fragments.rs in this fixture workspace.
 
 impl Renderer {
     fn render_page(&self, key: PageKey, html: &mut String, deps: &mut Vec<Dependency>) -> String {
@@ -32,6 +32,15 @@ impl Renderer {
                     let _ = writeln!(html, "<div>{}</div>", a.name);
                 }
                 "Roster".to_string()
+            }
+            PageKey::Country(c) => {
+                deps.push(Dependency::new(c.data_key()));
+                let name = db.country(c).map(|x| x.name.clone()).unwrap_or_default();
+                // Uncovered read: a medal won never invalidates this page.
+                if let Some(m) = db.medal_count(c) {
+                    let _ = writeln!(html, "<p>{name}: {} gold</p>", m.gold);
+                }
+                name
             }
         }
     }

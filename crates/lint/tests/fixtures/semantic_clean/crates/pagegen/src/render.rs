@@ -1,6 +1,6 @@
 // Fixture: the renderer from fixtures/semantic with both ODG defects
 // fixed — `Standings` actually renders the medal box its edge tracks,
-// and `Roster` registers the country edge its read needs.
+// and `Roster` and `Country` register the edges their reads need.
 
 impl Renderer {
     fn render_page(&self, key: PageKey, html: &mut String, deps: &mut Vec<Dependency>) -> String {
@@ -33,6 +33,18 @@ impl Renderer {
                     let _ = writeln!(html, "<div>{}</div>", a.name);
                 }
                 "Roster".to_string()
+            }
+            PageKey::Country(c) => {
+                deps.push(Dependency::new(c.data_key()));
+                deps.push(Dependency::weighted(
+                    nagano_db::schema::medals_data_key(),
+                    0.25,
+                ));
+                let name = db.country(c).map(|x| x.name.clone()).unwrap_or_default();
+                if let Some(m) = db.medal_count(c) {
+                    let _ = writeln!(html, "<p>{name}: {} gold</p>", m.gold);
+                }
+                name
             }
         }
     }

@@ -27,6 +27,7 @@ fn seeded_defects_fire_at_their_exact_sites() {
         vec![
             ("O002", "crates/pagegen/src/render.rs", 12),
             ("O001", "crates/pagegen/src/render.rs", 31),
+            ("O001", "crates/pagegen/src/render.rs", 40),
             ("L001", "crates/trigger/src/ledger.rs", 19),
             ("L002", "crates/trigger/src/queue.rs", 28),
         ],

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use nagano_db::{EventPhase, OlympicDb};
+use nagano_db::{DbView, EventPhase, OlympicDb};
 
 use crate::cost::{spin_for, CostModel};
 use crate::key::{FragmentKey, PageKey};
@@ -113,7 +113,10 @@ impl Renderer {
     pub fn render(&self, key: PageKey) -> RenderOutput {
         let mut html = String::with_capacity(4096);
         let mut deps: Vec<Dependency> = Vec::new();
-        let title = self.compose(key, &mut html, &mut deps, None);
+        let db = self.db.view();
+        let title = self.compose(&db, key, &mut html, &mut deps, None);
+        // Release the read lock before padding and burning simulated CPU.
+        drop(db);
         let body = finalize(key, &title, html);
         let cost_ms = self.cost.cost_ms(key);
         if let Some(scale) = self.cpu_scale {
@@ -135,7 +138,9 @@ impl Renderer {
     pub fn render_fragment(&self, f: FragmentKey) -> RenderOutput {
         let mut html = String::with_capacity(1024);
         let mut deps: Vec<Dependency> = Vec::new();
-        self.compose_fragment(f, &mut html, &mut deps);
+        let db = self.db.view();
+        self.compose_fragment(&db, f, &mut html, &mut deps);
+        drop(db);
         let cost_ms = self.cost.cost_ms(PageKey::Fragment(f));
         if let Some(scale) = self.cpu_scale {
             spin_for(cost_ms, scale);
@@ -155,7 +160,9 @@ impl Renderer {
         let mut html = String::with_capacity(4096);
         let mut deps: Vec<Dependency> = Vec::new();
         let mut slots: Vec<(usize, FragmentKey)> = Vec::new();
-        let title = self.compose(key, &mut html, &mut deps, Some(&mut slots));
+        let db = self.db.view();
+        let title = self.compose(&db, key, &mut html, &mut deps, Some(&mut slots));
+        drop(db);
         let skeleton_cost_ms = match key {
             // The fragment page's render cost is carried by the fragment
             // itself ([`Renderer::render_fragment`]).
@@ -180,9 +187,11 @@ impl Renderer {
 
     /// Build the page's inner HTML; returns the title. With `slots` set
     /// (composition-plan mode), fragments record slots instead of
-    /// rendering inline and the returned HTML is the bare skeleton.
+    /// rendering inline and the returned HTML is the bare skeleton. Every
+    /// read goes through `db`, the one view this render holds.
     fn compose(
         &self,
+        db: &DbView<'_>,
         key: PageKey,
         html: &mut String,
         deps: &mut Vec<Dependency>,
@@ -206,9 +215,9 @@ impl Renderer {
                     0.5,
                 ));
                 let _ = writeln!(html, "<h2>Day {day} at the Games</h2>");
-                self.inline_fragment(FragmentKey::MedalTable, html, slots.as_deref_mut());
-                self.inline_fragment(FragmentKey::Headlines(day), html, slots.as_deref_mut());
-                for event in self.db.events_on_day(day) {
+                self.inline_fragment(db, FragmentKey::MedalTable, html, slots.as_deref_mut());
+                self.inline_fragment(db, FragmentKey::Headlines(day), html, slots.as_deref_mut());
+                for event in db.events_on_day(day) {
                     deps.push(Dependency::weighted(
                         PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
                         2.0,
@@ -218,6 +227,7 @@ impl Renderer {
                     // own data edge — not just the fragment's.
                     deps.push(Dependency::weighted(event.id.data_key(), 1.0));
                     self.inline_fragment(
+                        db,
                         FragmentKey::ResultTable(event.id),
                         html,
                         slots.as_deref_mut(),
@@ -232,14 +242,12 @@ impl Renderer {
                     // Inline the top line of finished finals: this is what
                     // lets >25% of visitors stop at the home page.
                     if event.phase == EventPhase::Final {
-                        if let Some(winner) = self
-                            .db
+                        if let Some(winner) = db
                             .results_for_event(event.id)
-                            .iter()
                             .find(|r| r.is_final && r.rank == 1)
                         {
                             // nagano-lint: allow(O001) — athlete names are immutable after seeding; the winner line is refreshed by the `data:event:*` edge pushed above for this event
-                            if let Some(a) = self.db.athlete(winner.athlete) {
+                            if let Some(a) = db.athlete(winner.athlete) {
                                 let _ = writeln!(html, "<p>Gold: {}</p>", a.name);
                             }
                         }
@@ -252,22 +260,22 @@ impl Renderer {
                     PageKey::Fragment(FragmentKey::MedalTable).object_key(),
                 ));
                 let _ = writeln!(html, "<h2>Medal Standings</h2>");
-                self.inline_fragment(FragmentKey::MedalTable, html, slots.as_deref_mut());
+                self.inline_fragment(db, FragmentKey::MedalTable, html, slots.as_deref_mut());
                 "Medal Standings".to_string()
             }
             PageKey::Sport(s) => {
                 deps.push(Dependency::new(nagano_db::SportId(s.0).data_key()));
-                let sport = self.db.sport(s);
-                let name = sport
-                    .as_ref()
+                let name = db
+                    .sport(s)
                     .map(|x| x.name.clone())
                     .unwrap_or_else(|| "Unknown sport".into());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for event in self.db.events_of_sport(s) {
+                for event in db.events_of_sport(s) {
                     deps.push(Dependency::new(
                         PageKey::Fragment(FragmentKey::ResultTable(event.id)).object_key(),
                     ));
                     self.inline_fragment(
+                        db,
                         FragmentKey::ResultTable(event.id),
                         html,
                         slots.as_deref_mut(),
@@ -286,20 +294,19 @@ impl Renderer {
                 deps.push(Dependency::new(
                     PageKey::Fragment(FragmentKey::ResultTable(e)).object_key(),
                 ));
-                self.inline_fragment(FragmentKey::ResultTable(e), html, slots.as_deref_mut());
-                let event = self.db.event(e);
+                self.inline_fragment(db, FragmentKey::ResultTable(e), html, slots.as_deref_mut());
+                let event = db.event(e);
                 let name = event
-                    .as_ref()
                     .map(|x| x.name.clone())
                     .unwrap_or_else(|| "Unknown event".into());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for photo in self.db.photos_for_event(e) {
+                for photo in db.photos_for_event(e) {
                     deps.push(Dependency::weighted(photo.id.data_key(), 0.5));
                     let _ = writeln!(html, "<img alt=\"photo {}\"/>", photo.id.0);
                 }
                 // Cross-links per the 1998 redesign: every page links to
                 // pertinent information in other sections.
-                if let Some(ev) = &event {
+                if let Some(ev) = event {
                     let _ = writeln!(
                         html,
                         "<nav><a href=\"{}\">All {} results</a> <a href=\"/medals\">Medals</a></nav>",
@@ -318,22 +325,19 @@ impl Renderer {
                     nagano_db::schema::medals_data_key(),
                     0.25,
                 ));
-                let country = self.db.country(c);
-                let name = country.map(|x| x.name).unwrap_or_else(|| "Unknown".into());
+                let name = db
+                    .country(c)
+                    .map(|x| x.name.clone())
+                    .unwrap_or_else(|| "Unknown".into());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                if let Some((_, m)) = self
-                    .db
-                    .medal_standings()
-                    .iter()
-                    .find(|(code, _)| *code == c)
-                {
+                if let Some(m) = db.medal_count(c) {
                     let _ = writeln!(
                         html,
                         "<p class=\"medal-box\">Gold {} · Silver {} · Bronze {}</p>",
                         m.gold, m.silver, m.bronze
                     );
                 }
-                for a in self.db.athletes_of_country(c).iter().take(50) {
+                for a in db.athletes_of_country(c).take(50) {
                     let _ = writeln!(
                         html,
                         "<div><a href=\"{}\">{}</a></div>",
@@ -345,13 +349,12 @@ impl Renderer {
             }
             PageKey::Athlete(a) => {
                 deps.push(Dependency::new(a.data_key()));
-                let athlete = self.db.athlete(a);
+                let athlete = db.athlete(a);
                 let name = athlete
-                    .as_ref()
                     .map(|x| x.name.clone())
                     .unwrap_or_else(|| "Unknown".into());
                 let _ = writeln!(html, "<h2>{name}</h2>");
-                for r in self.db.results_for_athlete(a) {
+                for r in db.results_for_athlete(a) {
                     let _ = writeln!(
                         html,
                         "<div>Event <a href=\"{}\">{}</a>: rank {} ({:.2})</div>",
@@ -361,7 +364,7 @@ impl Renderer {
                         r.score
                     );
                 }
-                if let Some(at) = &athlete {
+                if let Some(at) = athlete {
                     let _ = writeln!(
                         html,
                         "<nav><a href=\"{}\">Team page</a></nav>",
@@ -372,7 +375,7 @@ impl Renderer {
             }
             PageKey::News(n) => {
                 deps.push(Dependency::new(n.data_key()));
-                match self.db.news(n) {
+                match db.news(n) {
                     Some(article) => {
                         let _ = writeln!(
                             html,
@@ -386,7 +389,7 @@ impl Renderer {
                                 PageKey::Event(ev).to_url()
                             );
                         }
-                        article.title
+                        article.title.clone()
                     }
                     None => "Story not found".to_string(),
                 }
@@ -394,7 +397,7 @@ impl Renderer {
             PageKey::NewsIndex(day) => {
                 deps.push(Dependency::new(nagano_db::schema::today_data_key(day)));
                 let _ = writeln!(html, "<h2>News — Day {day}</h2>");
-                for article in self.db.news_on_day(day) {
+                for article in db.news_on_day(day) {
                     deps.push(Dependency::weighted(article.id.data_key(), 0.5));
                     let _ = writeln!(
                         html,
@@ -406,7 +409,7 @@ impl Renderer {
                 format!("News for Day {day}")
             }
             PageKey::Venue(s) => {
-                let venue = self.db.sport(s).map(|x| x.venue).unwrap_or_default();
+                let venue = db.sport(s).map(|x| x.venue.clone()).unwrap_or_default();
                 let _ = writeln!(html, "<h2>{venue}</h2><p>Venue guide and transport.</p>");
                 venue
             }
@@ -433,7 +436,7 @@ impl Renderer {
                     slots.push((html.len(), f));
                     fragment_title(f)
                 }
-                None => self.compose_fragment(f, html, deps),
+                None => self.compose_fragment(db, f, html, deps),
             },
         }
     }
@@ -445,6 +448,7 @@ impl Renderer {
     /// current skeleton offset is recorded as a cached-fragment slot.
     fn inline_fragment(
         &self,
+        db: &DbView<'_>,
         f: FragmentKey,
         html: &mut String,
         slots: Option<&mut Vec<(usize, FragmentKey)>>,
@@ -453,13 +457,14 @@ impl Renderer {
             Some(slots) => slots.push((html.len(), f)),
             None => {
                 let mut fragment_deps = Vec::new();
-                self.compose_fragment(f, html, &mut fragment_deps);
+                self.compose_fragment(db, f, html, &mut fragment_deps);
             }
         }
     }
 
     fn compose_fragment(
         &self,
+        db: &DbView<'_>,
         f: FragmentKey,
         html: &mut String,
         deps: &mut Vec<Dependency>,
@@ -468,35 +473,35 @@ impl Renderer {
             FragmentKey::ResultTable(e) => {
                 deps.push(Dependency::new(e.data_key()));
                 let _ = writeln!(html, "<table class=\"results\">");
-                for r in self.db.results_for_event(e) {
-                    let who = self
-                        .db
-                        // nagano-lint: allow(O001) — athlete names are immutable after seeding; result changes reach this fragment through the `data:event:*` edge pushed above
-                        .athlete(r.athlete)
-                        .map(|a| a.name)
-                        .unwrap_or_else(|| format!("athlete {}", r.athlete.0));
-                    let _ = writeln!(
-                        html,
-                        "<tr><td>{}</td><td>{}</td><td>{:.2}</td></tr>",
-                        r.rank, who, r.score
-                    );
+                for r in db.results_for_event(e) {
+                    let _ = write!(html, "<tr><td>{}</td><td>", r.rank);
+                    // nagano-lint: allow(O001) — athlete names are immutable after seeding; result changes reach this fragment through the `data:event:*` edge pushed above
+                    match db.athlete(r.athlete) {
+                        Some(a) => html.push_str(&a.name),
+                        None => {
+                            let _ = write!(html, "athlete {}", r.athlete.0);
+                        }
+                    }
+                    let _ = writeln!(html, "</td><td>{:.2}</td></tr>", r.score);
                 }
                 let _ = writeln!(html, "</table>");
             }
             FragmentKey::MedalTable => {
                 deps.push(Dependency::new(nagano_db::schema::medals_data_key()));
                 let _ = writeln!(html, "<table class=\"medals\">");
-                for (c, m) in self.db.medal_standings().iter().take(15) {
-                    let code = self
-                        .db
-                        // nagano-lint: allow(O001) — country codes are immutable after seeding; standings changes reach this fragment through its `data:medals:*` edge
-                        .country(*c)
-                        .map(|x| x.code)
-                        .unwrap_or_else(|| c.to_string());
+                for (c, m) in db.medal_standings().iter().take(15) {
+                    let _ = write!(html, "<tr><td>");
+                    // nagano-lint: allow(O001) — country codes are immutable after seeding; standings changes reach this fragment through its `data:medals:*` edge
+                    match db.country(*c) {
+                        Some(x) => html.push_str(&x.code),
+                        None => {
+                            let _ = write!(html, "{c}");
+                        }
+                    }
                     let _ = writeln!(
                         html,
-                        "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                        code, m.gold, m.silver, m.bronze
+                        "</td><td>{}</td><td>{}</td><td>{}</td></tr>",
+                        m.gold, m.silver, m.bronze
                     );
                 }
                 let _ = writeln!(html, "</table>");
@@ -507,7 +512,7 @@ impl Renderer {
                     0.5,
                 ));
                 let _ = writeln!(html, "<ul class=\"headlines\">");
-                for article in self.db.news_on_day(day).iter().take(8) {
+                for article in db.news_on_day(day).take(8) {
                     deps.push(Dependency::new(article.id.data_key()));
                     let _ = writeln!(html, "<li>{}</li>", article.title);
                 }
@@ -724,5 +729,76 @@ mod tests {
         let start = std::time::Instant::now();
         r.render(PageKey::Athlete(AthleteId(1)));
         assert!(start.elapsed().as_millis() >= 8);
+    }
+
+    /// One render holds one database view. A second read taken while the
+    /// view is alive queues behind any waiting writer (std's `RwLock`
+    /// blocks new readers once a writer waits) and deadlocks. Every page
+    /// class renders, plans and renders its fragments while a writer
+    /// commits in a tight loop, under a deadline; in debug builds the
+    /// view also panics on a nested read, so the test fails every time.
+    #[test]
+    fn renders_hold_one_view_while_commits_race() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let (db, _) = seeded();
+        db.publish_news(NewsArticle {
+            id: NewsId(1),
+            day: 2,
+            title: "Opening day".into(),
+            body: "The Games begin.".into(),
+            about_event: Some(nagano_db::EventId(1)),
+        });
+        let mut keys: Vec<PageKey> = crate::PageRegistry::build(&db, 16)
+            .pages()
+            .iter()
+            .map(|(k, _)| *k)
+            .collect();
+        keys.push(PageKey::News(NewsId(1)));
+        let events = db.events();
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut i = 0usize;
+                while !stop.load(Ordering::Relaxed) {
+                    let ev = &events[i % events.len()];
+                    let field = db.athletes_of_sport(ev.sport);
+                    let podium: Vec<(AthleteId, f64)> =
+                        field.iter().take(3).map(|a| (a.id, i as f64)).collect();
+                    db.record_results(ev.id, &podium, i.is_multiple_of(4), ev.day);
+                    i += 1;
+                }
+                i
+            })
+        };
+        let (done_tx, done_rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let r = Renderer::new(db);
+            for _ in 0..5 {
+                for &key in &keys {
+                    r.render(key);
+                    r.plan(key);
+                    if let PageKey::Fragment(f) = key {
+                        r.render_fragment(f);
+                    }
+                }
+            }
+            let _ = done_tx.send(());
+        });
+        let outcome = done_rx.recv_timeout(Duration::from_secs(60));
+        stop.store(true, Ordering::Relaxed);
+        assert!(
+            !matches!(outcome, Err(mpsc::RecvTimeoutError::Timeout)),
+            "renders did not finish within 60 s: a render took a second read \
+             lock while holding its view"
+        );
+        // Debug builds turn a nested read into a panic on the reader.
+        if let Err(panic) = reader.join() {
+            std::panic::resume_unwind(panic);
+        }
+        assert!(writer.join().expect("writer") > 0, "writer committed");
     }
 }

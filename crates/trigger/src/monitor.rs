@@ -257,8 +257,10 @@ impl TriggerMonitor {
         if let Some(plane) = &self.fragments {
             return self.prewarm_fragmented(plane, &keys);
         }
-        // Render in parallel (pure reads of the DB), then register and
-        // distribute sequentially — graph mutation is the cheap part.
+        // Render every page (each render reads one DB view), then register
+        // and distribute in key order. `par_iter` is sequential under the
+        // vendored rayon shim; a truly parallel pool measured no gain on a
+        // 2-core host, where renders are CPU-bound.
         let rendered: Vec<(PageKey, RenderOutput)> = keys
             .par_iter()
             .map(|&k| (k, self.renderer.render(k)))
@@ -602,8 +604,8 @@ impl TriggerMonitor {
         }
     }
 
-    /// Fragment-mode refresh: re-render only the dirty *fragments* (in
-    /// parallel), replan only the pages whose skeleton the batch
+    /// Fragment-mode refresh: re-render only the dirty *fragments*,
+    /// replan only the pages whose skeleton the batch
     /// preamble found dirty, and recompose everything else from cached
     /// plans and the store. The partial-regeneration saving (ROADMAP
     /// item 3) is exactly this: one shared fragment renders once and its
@@ -616,8 +618,8 @@ impl TriggerMonitor {
         if keys.is_empty() {
             return (Vec::new(), 0.0);
         }
-        // 1. Dirty fragments: render inner bodies in parallel, refresh
-        //    the store, re-register the shared vertex's data edges.
+        // 1. Dirty fragments: render inner bodies, refresh the store,
+        //    re-register the shared vertex's data edges.
         let fragment_keys: Vec<FragmentKey> = keys
             .iter()
             .filter_map(|k| match k {
@@ -641,7 +643,7 @@ impl TriggerMonitor {
             .record_fragments_regenerated(rendered.len() as u64);
 
         // 2. Replan pages with no surviving plan (skeleton dirty, or
-        //    never planned), in parallel.
+        //    never planned).
         let need_plan: FxHashSet<PageKey> = {
             let index = plane.index.lock();
             keys.iter()
@@ -717,8 +719,10 @@ impl TriggerMonitor {
         (regenerated, render_ms)
     }
 
-    /// Render `keys` in parallel (pure DB reads), then register and
-    /// distribute sequentially in the given order.
+    /// Render `keys` (one DB view per render), then register and
+    /// distribute in the given order. `par_iter` is sequential under the
+    /// vendored rayon shim, and a truly parallel pool measured no gain on
+    /// a 2-core host: see `prewarm`.
     fn regenerate_whole(&self, keys: &[PageKey]) -> (Vec<PageKey>, f64) {
         if keys.is_empty() {
             return (Vec::new(), 0.0);
