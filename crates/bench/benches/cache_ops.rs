@@ -1,6 +1,5 @@
-//! Cache operation latencies: hit, miss, update-in-place, invalidate —
-//! per replacement policy, plus the sharding ablation (16 shards vs a
-//! single global lock).
+//! Cache operation latencies: hit, miss and update-in-place, plus the
+//! sharding ablation (16 shards vs a single global lock).
 
 use std::time::Duration;
 
@@ -8,7 +7,7 @@ use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use nagano_cache::{CacheConfig, PageCache, ReplacementPolicy};
+use nagano_cache::{CacheConfig, PageCache};
 
 fn populated(config: CacheConfig, n: usize) -> PageCache {
     let cache = PageCache::new(config);
@@ -25,33 +24,22 @@ fn bench_ops(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200))
         .sample_size(30);
 
-    for (name, config) in [
-        ("unbounded", CacheConfig::unbounded()),
-        ("lru", CacheConfig::bounded(8 << 20, ReplacementPolicy::Lru)),
-        (
-            "gds",
-            CacheConfig::bounded(8 << 20, ReplacementPolicy::GreedyDualSize),
-        ),
-    ] {
-        let cache = populated(config, 2_000);
-        group.bench_function(BenchmarkId::new("hit", name), |b| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % 2_000;
-                black_box(cache.get(&format!("/page/{i}")))
-            });
+    let cache = populated(CacheConfig::default(), 2_000);
+    group.bench_function("hit", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % 2_000;
+            black_box(cache.get(&format!("/page/{i}")))
         });
-        group.bench_function(BenchmarkId::new("update_in_place", name), |b| {
-            let body = Bytes::from(vec![b'y'; 2048]);
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % 2_000;
-                black_box(cache.put(&format!("/page/{i}"), body.clone(), 50.0))
-            });
+    });
+    group.bench_function("update_in_place", |b| {
+        let body = Bytes::from(vec![b'y'; 2048]);
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % 2_000;
+            black_box(cache.put(&format!("/page/{i}"), body.clone(), 50.0))
         });
-    }
-
-    let cache = populated(CacheConfig::unbounded(), 2_000);
+    });
     group.bench_function("miss", |b| {
         let mut i = 0usize;
         b.iter(|| {
@@ -62,7 +50,7 @@ fn bench_ops(c: &mut Criterion) {
 
     // Sharding ablation.
     for shards in [1usize, 16] {
-        let cache = populated(CacheConfig::unbounded().with_shards(shards), 2_000);
+        let cache = populated(CacheConfig::default().with_shards(shards), 2_000);
         group.bench_function(BenchmarkId::new("hit_shards", shards), |b| {
             let mut i = 0usize;
             b.iter(|| {

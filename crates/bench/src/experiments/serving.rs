@@ -1,19 +1,12 @@
 //! Real-TCP serving hot-path benchmark (DESIGN.md §13).
 //!
-//! Boots a prewarmed [`ServingSite`] behind `nagano-httpd`, then drives
-//! it with the open-loop load harness ([`crate::loadgen`]) in two server
-//! shapes:
+//! Boots a prewarmed [`ServingSite`] behind `nagano-httpd` and drives it
+//! with the open-loop load harness ([`crate::loadgen`]). The serving path
+//! is zero-copy: preserialised heads computed once per cache fill,
+//! `Arc`-backed bodies straight from the cache shard, and one vectored
+//! write per response.
 //!
-//! * **baseline** — the pre-rearchitecture serving path: per-request
-//!   `String` URL and ETag allocations, formatted headers on every hit,
-//!   and the `BufWriter` multi-`write!` socket profile.
-//! * **zerocopy** — preserialised heads computed once per cache fill,
-//!   `Arc`-backed bodies straight from the cache shard, and one vectored
-//!   write per response.
-//!
-//! Both shapes serve byte-identical responses (pinned by unit tests in
-//! `nagano-httpd`), so any rate/latency difference is the rearchitecture.
-//! Each shape gets a paced open-loop run (latency percentiles at a fixed
+//! The site gets a paced open-loop run (latency percentiles at a fixed
 //! arrival rate) and a closed-loop run (capacity: every connection
 //! issues its schedule back-to-back). Full mode adds a worker-count
 //! sweep. The request **schedule** is seed-deterministic and
@@ -39,7 +32,7 @@ const DAY: u32 = 8;
 /// Fraction of requests that revalidate with `If-None-Match`.
 const INM_FRACTION: f64 = 0.3;
 
-/// Worker counts swept in full mode (closed loop, zero-copy path).
+/// Worker counts swept in full mode (closed loop).
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 struct ModeReports {
@@ -47,25 +40,22 @@ struct ModeReports {
     capacity: RunReport,
 }
 
-/// Boot a site in the given shape and run both plans against it.
+/// Boot a site with `workers` server threads and run both plans against
+/// it.
 fn run_mode(
     config: &ExpConfig,
-    legacy: bool,
     workers: usize,
     warmup_plan: &LoadPlan,
     latency_plan: &LoadPlan,
     capacity_plan: &LoadPlan,
 ) -> ModeReports {
-    let mut site_cfg = if config.quick {
+    let site = Arc::new(ServingSite::build(if config.quick {
         SiteConfig::small()
     } else {
         SiteConfig::full()
-    };
-    site_cfg.prebuilt_heads = !legacy;
-    let site = Arc::new(ServingSite::build(site_cfg));
+    }));
     let server_cfg = ServerConfig {
         workers,
-        legacy_write_path: legacy,
         ..ServerConfig::default()
     };
     let server = site
@@ -103,7 +93,7 @@ fn popularity_pages(config: &ExpConfig) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Before/after serving benchmark over real TCP.
+/// Serving benchmark over real TCP.
 pub fn serving(config: &ExpConfig) -> ExpResult {
     let pages = popularity_pages(config);
     // Connection count stays modest: the harness and server share the
@@ -143,25 +133,10 @@ pub fn serving(config: &ExpConfig) -> ExpResult {
     );
     let workers = ServerConfig::from_env().workers;
 
-    let baseline = run_mode(
-        config,
-        true,
-        workers,
-        &warmup_plan,
-        &latency_plan,
-        &capacity_plan,
-    );
-    let zerocopy = run_mode(
-        config,
-        false,
-        workers,
-        &warmup_plan,
-        &latency_plan,
-        &capacity_plan,
-    );
+    let reports = run_mode(config, workers, &warmup_plan, &latency_plan, &capacity_plan);
 
     let mut table = TextTable::new([
-        "path / run",
+        "run",
         "rps",
         "rps/core",
         "p50 (ms)",
@@ -186,25 +161,16 @@ pub fn serving(config: &ExpConfig) -> ExpResult {
             r.errors.to_string(),
         ]);
     };
-    row("baseline / paced", &baseline.latency);
-    row("zerocopy / paced", &zerocopy.latency);
-    row("baseline / capacity", &baseline.capacity);
-    row("zerocopy / capacity", &zerocopy.capacity);
+    row("paced", &reports.latency);
+    row("capacity", &reports.capacity);
 
-    // Worker sweep: capacity of the zero-copy path as server threads
-    // scale (full mode only — the quick CI run keeps to the comparison).
+    // Worker sweep: capacity as server threads scale (full mode only —
+    // the quick CI run keeps to one server shape).
     let mut sweep_rows = Vec::new();
     if !config.quick {
         for w in WORKER_SWEEP {
-            let m = run_mode(
-                config,
-                false,
-                w,
-                &warmup_plan,
-                &latency_plan,
-                &capacity_plan,
-            );
-            row(&format!("zerocopy / capacity, {w} workers"), &m.capacity);
+            let m = run_mode(config, w, &warmup_plan, &latency_plan, &capacity_plan);
+            row(&format!("capacity, {w} workers"), &m.capacity);
             sweep_rows.push(json!({
                 "workers": w,
                 "capacity": m.capacity.to_json(),
@@ -212,34 +178,29 @@ pub fn serving(config: &ExpConfig) -> ExpResult {
         }
     }
 
-    let speedup = if baseline.capacity.rps > 0.0 {
-        zerocopy.capacity.rps / baseline.capacity.rps
-    } else {
-        0.0
-    };
-    let faster = zerocopy.capacity.rps > baseline.capacity.rps;
-    let clean = baseline.latency.errors == 0
-        && zerocopy.latency.errors == 0
-        && baseline.capacity.errors == 0
-        && zerocopy.capacity.errors == 0;
+    // Both runs replay one schedule against a site with no updates, so
+    // they must revalidate the same requests.
+    let clean = reports.latency.errors == 0 && reports.capacity.errors == 0;
+    let revalidated = reports.latency.not_modified > 0
+        && reports.latency.not_modified == reports.capacity.not_modified;
     let verdict = format!(
         "Paper §3.2: the serving path must sustain Olympic request rates from the cache \
          without touching the page-generation machinery.\n\
-         Measured: zero-copy cached path sustains {:.0} rps vs the baseline's {:.0} rps \
-         ({:+.1}% capacity) with paced p99 {:.3} ms vs {:.3} ms; 304 ratio {:.1}% never \
-         touched the render pool — acceptance checks {}.",
-        zerocopy.capacity.rps,
-        baseline.capacity.rps,
-        (speedup - 1.0) * 100.0,
-        zerocopy.latency.p99_ms,
-        baseline.latency.p99_ms,
-        100.0 * zerocopy.latency.not_modified_ratio(),
-        if faster && clean { "hold" } else { "FAILED" }
+         Measured: the zero-copy cached path sustains {:.0} rps with paced p99 {:.3} ms; \
+         304 ratio {:.1}% never touched the render pool — acceptance checks {}.",
+        reports.capacity.rps,
+        reports.latency.p99_ms,
+        100.0 * reports.latency.not_modified_ratio(),
+        if clean && revalidated {
+            "hold"
+        } else {
+            "FAILED"
+        }
     );
 
     ExpResult {
         id: "serving",
-        title: "Serving hot path over real TCP: baseline vs zero-copy",
+        title: "Serving hot path over real TCP: zero-copy",
         rendered: table.render(),
         json: json!({
             // Everything under `schedule` is seed-deterministic: CI
@@ -259,15 +220,8 @@ pub fn serving(config: &ExpConfig) -> ExpResult {
             }),
             "measured": json!({
                 "workers": workers,
-                "baseline": json!({
-                    "latency": baseline.latency.to_json(),
-                    "capacity": baseline.capacity.to_json(),
-                }),
-                "zerocopy": json!({
-                    "latency": zerocopy.latency.to_json(),
-                    "capacity": zerocopy.capacity.to_json(),
-                }),
-                "capacity_speedup": speedup,
+                "latency": reports.latency.to_json(),
+                "capacity": reports.capacity.to_json(),
                 "thread_sweep": sweep_rows,
             }),
         }),

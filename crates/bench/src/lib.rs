@@ -37,7 +37,7 @@
 //! | `soak` | random-failure soak across the Games (availability) |
 //! | `chaos` | data-plane fault injection: scripted lossy/partitioned links + monitor crashes |
 //! | `resilience` | serving-plane fault injection: render slowdown, backend outages, cache cold-restart |
-//! | `serving` | real-TCP serving hot path: baseline vs zero-copy, latency percentiles + capacity |
+//! | `serving` | real-TCP zero-copy serving hot path: paced latency percentiles + closed-loop capacity |
 //! | `fragments` | fragment-level caching vs whole-page regeneration on the day-8 workload |
 //! | `summary` | one-screen headline scoreboard |
 

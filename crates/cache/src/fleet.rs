@@ -85,7 +85,7 @@ impl CacheFleet {
     pub fn distribute(&self, key: &str, body: Bytes, cost: f64) {
         let mut head = None;
         for m in &self.members {
-            m.put_sharing_head(key, body.clone(), cost, &mut head);
+            m.fill(key, body.clone(), cost, None, &mut head);
         }
     }
 
@@ -110,7 +110,6 @@ impl CacheFleet {
             total.inserts += s.inserts;
             total.updates += s.updates;
             total.invalidations += s.invalidations;
-            total.evictions += s.evictions;
             total.stale_served += s.stale_served;
             total.coalesced += s.coalesced;
             total.bytes_current += s.bytes_current;

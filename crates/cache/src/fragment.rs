@@ -12,9 +12,9 @@
 //! maps, immutable [`bytes::Bytes`] bodies (so composing a fragment into
 //! fifty pages shares one allocation), and a monotonically bumped version
 //! per entry. It is deliberately simpler than [`crate::PageCache`]: no
-//! eviction (the full fragment space is orders of magnitude smaller than
-//! the page space), no single-flight (fragment regeneration is driven by
-//! the trigger monitor, which already serialises per-batch work).
+//! preserialised heads, no stale tombstones, no single-flight (fragment
+//! regeneration is driven by the trigger monitor, which already
+//! serialises per-batch work).
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

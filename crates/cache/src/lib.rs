@@ -8,14 +8,9 @@
 //!
 //! Layout:
 //! * [`PageCache`] — a sharded concurrent map from page keys to immutable
-//!   byte bodies, with statistics and optional capacity bounds.
-//! * [`policy`] — replacement policies for the bounded configuration:
-//!   LRU, LFU, and GreedyDual-Size (the cost-aware algorithm of the
-//!   paper's reference \[1\], Cao & Irani). At the Olympics site "all dynamic
-//!   pages could be cached in memory without overflow ... the system never
-//!   had to apply a cache replacement algorithm" — the unbounded default —
-//!   but the bounded policies let the experiments show what happens when
-//!   memory is scarce.
+//!   byte bodies, with statistics. It never evicts: at the Olympics site
+//!   "all dynamic pages could be cached in memory without overflow ... the
+//!   system never had to apply a cache replacement algorithm".
 //! * [`CacheFleet`] — the eight per-frame serving caches fed by the
 //!   trigger monitor's distributor (Figure 6).
 //! * [`FragmentStore`] — inner-HTML bodies of §2's page *fragments*
@@ -29,7 +24,7 @@
 //! * Serving-path resilience (DESIGN.md §11): per-shard *single-flight*
 //!   maps so concurrent misses for one key coalesce into one
 //!   regeneration ([`PageCache::join_or_lead`]), and an optional
-//!   [`StalePolicy`] that tombstones evicted/invalidated bodies for
+//!   [`StalePolicy`] that tombstones invalidated bodies for
 //!   bounded-age serve-stale-on-error ([`PageCache::serve_stale`]).
 
 #![forbid(unsafe_code)]
@@ -39,7 +34,6 @@ pub mod cache;
 pub mod fleet;
 pub mod fragment;
 pub mod hotness;
-pub mod policy;
 pub mod stats;
 
 pub use cache::{
@@ -49,5 +43,4 @@ pub use cache::{
 pub use fleet::CacheFleet;
 pub use fragment::{FragmentEntry, FragmentStore, FragmentStoreStats};
 pub use hotness::HotnessTracker;
-pub use policy::ReplacementPolicy;
 pub use stats::{CacheStats, StatsSnapshot};

@@ -17,7 +17,6 @@ pub struct CacheStats {
     inserts: Counter,
     updates: Counter,
     invalidations: Counter,
-    evictions: Counter,
     stale_served: Counter,
     coalesced: Counter,
     bytes_current: Gauge,
@@ -37,8 +36,6 @@ pub struct StatsSnapshot {
     pub updates: u64,
     /// Explicit invalidations.
     pub invalidations: u64,
-    /// Capacity evictions.
-    pub evictions: u64,
     /// Lookups answered from a tombstoned stale copy (serve-stale-on-error
     /// / stale-while-revalidate under the [`StalePolicy`](crate::StalePolicy)).
     pub stale_served: u64,
@@ -94,12 +91,6 @@ impl CacheStats {
         self.shrink(bytes);
     }
 
-    /// Record an eviction freeing `bytes`.
-    pub fn evict(&self, bytes: u64) {
-        self.evictions.incr();
-        self.shrink(bytes);
-    }
-
     /// Record a lookup answered from a stale tombstone.
     pub fn stale_serve(&self) {
         self.stale_served.incr();
@@ -134,7 +125,6 @@ impl CacheStats {
             labels,
             &self.invalidations,
         );
-        registry.bind_counter("nagano_cache_evictions_total", labels, &self.evictions);
         registry.bind_counter(
             "nagano_cache_stale_served_total",
             labels,
@@ -153,7 +143,6 @@ impl CacheStats {
             inserts: self.inserts.get(),
             updates: self.updates.get(),
             invalidations: self.invalidations.get(),
-            evictions: self.evictions.get(),
             stale_served: self.stale_served.get(),
             coalesced: self.coalesced.get(),
             bytes_current: self.bytes_current.get(),
@@ -169,7 +158,6 @@ impl CacheStats {
         self.inserts.reset();
         self.updates.reset();
         self.invalidations.reset();
-        self.evictions.reset();
         self.stale_served.reset();
         self.coalesced.reset();
     }

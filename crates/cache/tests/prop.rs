@@ -4,7 +4,7 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use nagano_cache::{CacheConfig, PageCache, ReplacementPolicy};
+use nagano_cache::{CacheConfig, PageCache};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -24,10 +24,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// An unbounded cache behaves exactly like a HashMap.
+    /// The cache behaves exactly like a HashMap.
     #[test]
     fn unbounded_cache_is_a_map(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let cache = PageCache::new(CacheConfig::unbounded().with_shards(4));
+        let cache = PageCache::new(CacheConfig::default().with_shards(4));
         let mut model: HashMap<String, Vec<u8>> = HashMap::new();
         let mut versions: HashMap<String, u64> = HashMap::new();
         for op in ops {
@@ -60,74 +60,11 @@ proptest! {
         }
     }
 
-    /// A single-shard LRU cache matches a straightforward ordered-list
-    /// reference implementation.
-    #[test]
-    fn lru_matches_reference(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        const BUDGET: u64 = 100;
-        const ENTRY: usize = 10; // fixed entry size keeps the model simple
-        let cache = PageCache::new(
-            CacheConfig::bounded(BUDGET, ReplacementPolicy::Lru).with_shards(1),
-        );
-        // Reference: Vec of keys, most recently used last.
-        let mut order: Vec<String> = Vec::new();
-        for op in ops {
-            match op {
-                Op::Put(k, _) => {
-                    let key = format!("/p{k}");
-                    cache.put(&key, Bytes::from(vec![k; ENTRY]), 1.0);
-                    order.retain(|x| x != &key);
-                    order.push(key);
-                    while order.len() * ENTRY > BUDGET as usize {
-                        order.remove(0);
-                    }
-                }
-                Op::Get(k) => {
-                    let key = format!("/p{k}");
-                    let hit = cache.get(&key).is_some();
-                    let model_hit = order.contains(&key);
-                    prop_assert_eq!(hit, model_hit, "key {}", key);
-                    if model_hit {
-                        order.retain(|x| x != &key);
-                        order.push(key);
-                    }
-                }
-                Op::Invalidate(k) => {
-                    let key = format!("/p{k}");
-                    let was = cache.invalidate(&key);
-                    let model_was = order.contains(&key);
-                    order.retain(|x| x != &key);
-                    prop_assert_eq!(was, model_was);
-                }
-            }
-            prop_assert_eq!(cache.len(), order.len());
-        }
-    }
-
-    /// Bounded caches never exceed their byte budget when every entry fits
-    /// individually.
-    #[test]
-    fn bounded_budget_is_respected(
-        policy_sel in 0..3u8,
-        ops in proptest::collection::vec((0..60u8, 1..8u8), 1..300),
-    ) {
-        let policy = match policy_sel {
-            0 => ReplacementPolicy::Lru,
-            1 => ReplacementPolicy::Lfu,
-            _ => ReplacementPolicy::GreedyDualSize,
-        };
-        let cache = PageCache::new(CacheConfig::bounded(64, policy).with_shards(1));
-        for (k, s) in ops {
-            cache.put(&format!("/p{k}"), Bytes::from(vec![0u8; s as usize]), k as f64);
-            prop_assert!(cache.bytes() <= 64, "bytes {} policy {:?}", cache.bytes(), policy);
-        }
-    }
-
     /// Stats identity: hits + misses equals the number of gets; the gauge
     /// equals live bytes.
     #[test]
     fn stats_identities(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let cache = PageCache::new(CacheConfig::unbounded().with_shards(2));
+        let cache = PageCache::new(CacheConfig::default().with_shards(2));
         let mut gets = 0u64;
         for op in ops {
             match op {

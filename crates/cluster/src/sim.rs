@@ -146,7 +146,7 @@ impl ClusterConfig {
 
 /// Serving-path resilience knobs, mirroring what the in-process
 /// [`nagano::ServingSite`] runs: a [`StalePolicy`] installed on every
-/// site's serving cache (evicted/invalidated bodies become bounded-age
+/// site's serving cache (invalidated bodies become bounded-age
 /// tombstones), a per-request deadline, seeded retry backoff for failed
 /// regenerations, and a circuit breaker per site backend.
 #[derive(Debug, Clone)]
@@ -1631,7 +1631,6 @@ impl ClusterSim {
             agg.inserts += s.inserts;
             agg.updates += s.updates;
             agg.invalidations += s.invalidations;
-            agg.evictions += s.evictions;
             agg.bytes_current += s.bytes_current;
             agg.bytes_peak += s.bytes_peak;
             agg.stale_served += s.stale_served;
@@ -1660,7 +1659,7 @@ impl ClusterSim {
         if cfg.audit_convergence {
             // Prove cache convergence the hard way: re-render every
             // registry page and compare bodies against each site's cache.
-            // An absent entry is safe (invalidate policy, eviction, cold);
+            // An absent entry is safe (invalidate policy, cold restart);
             // a *mismatching* body is a stale page.
             let renderer = Renderer::new(Arc::clone(&db));
             let mut stale = 0u64;

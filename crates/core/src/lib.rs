@@ -74,7 +74,7 @@ pub use nagano_trigger as trigger;
 /// Convenient access to the most-used types.
 pub mod prelude {
     pub use crate::site::{ServingSite, SiteConfig};
-    pub use nagano_cache::{CacheConfig, PageCache, ReplacementPolicy};
+    pub use nagano_cache::{CacheConfig, PageCache};
     pub use nagano_db::{GamesConfig, OlympicDb};
     pub use nagano_odg::{DupEngine, Odg, StalenessPolicy};
     pub use nagano_pagegen::{PageKey, Renderer};

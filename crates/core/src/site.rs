@@ -52,10 +52,6 @@ pub struct SiteConfig {
     /// Warm every page and build the full ODG at construction (the
     /// production prefetch). Disable to study cold-start behaviour.
     pub prewarm: bool,
-    /// Preserialise each cache entry's HTTP head at fill time so hits
-    /// skip header formatting entirely. Disable to measure the
-    /// pre-rearchitecture baseline (`BENCH_serving.json`).
-    pub prebuilt_heads: bool,
     /// Per-request latency budget in seconds: a miss that coalesces onto
     /// another node-local regeneration waits at most this long before
     /// falling back to a stale copy (DESIGN.md §11).
@@ -79,7 +75,6 @@ impl SiteConfig {
             staleness: StalenessPolicy::Strict,
             cpu_scale: None,
             prewarm: true,
-            prebuilt_heads: true,
             request_budget_secs: 2.0,
             fragment_mode: false,
         }
@@ -178,14 +173,14 @@ impl ServingSite {
         let marquee = seed_games(&db, &config.games);
         let registry = Arc::new(PageRegistry::build(&db, config.games.days));
         let fleet = Arc::new(CacheFleet::new(config.fleet_size, config.cache.clone()));
-        if config.prebuilt_heads {
-            // Installed before the prewarm below so every prefetched page
-            // carries a ready-to-send head from its first fill.
-            fleet.set_head_builder(Arc::new(|body: &Bytes, version: u64| {
-                let (pre, post) = nagano_httpd::prebuilt_html_head(body.len(), version);
-                nagano_cache::PrebuiltHead { pre, post }
-            }));
-        }
+        // Every fill preserialises the entry's HTTP head, so hits skip
+        // header formatting entirely. Installed before the prewarm below
+        // so every prefetched page carries a ready-to-send head from its
+        // first fill.
+        fleet.set_head_builder(Arc::new(|body: &Bytes, version: u64| {
+            let (pre, post) = nagano_httpd::prebuilt_html_head(body.len(), version);
+            nagano_cache::PrebuiltHead { pre, post }
+        }));
         let mut renderer = Renderer::new(Arc::clone(&db));
         if let Some(scale) = config.cpu_scale {
             renderer = renderer.with_simulated_cpu(scale);
@@ -336,9 +331,9 @@ impl ServingSite {
     /// [`Response`]: no header formatting, no ETag `String`, and the body
     /// is a refcount bump of the cached buffer. A matching
     /// `If-None-Match` validator is answered 304 straight from the
-    /// entry's version without ever touching the render pool. Misses and
-    /// headless entries fall through to the [`ServingSite::handle`]
-    /// machinery (single-flight, breaker, serve-stale).
+    /// entry's version without ever touching the render pool. Misses fall
+    /// through to the [`ServingSite::handle`] machinery (single-flight,
+    /// breaker, serve-stale).
     pub fn respond(&self, node: usize, req: &Request) -> Response {
         let Some(key) = PageKey::parse(&req.path) else {
             return Response::not_found();
@@ -732,19 +727,13 @@ mod tests {
 
     #[test]
     fn respond_prebuilt_hit_serves_identical_bytes_to_formatted_path() {
-        let fast = site();
-        let mut cfg = SiteConfig::small();
-        cfg.prebuilt_heads = false;
-        let slow = ServingSite::build(cfg);
+        let s = site();
         for path in ["/medals", "/day/3/", "/welcome"] {
-            let req = get_request(path, None);
-            let a = fast.respond(0, &req);
-            let b = slow.respond(0, &req);
-            assert!(a.prebuilt.is_some(), "{path}: fast path took slow route");
-            assert!(
-                b.prebuilt.is_none(),
-                "{path}: baseline unexpectedly prebuilt"
-            );
+            let a = s.respond(0, &get_request(path, None));
+            assert!(a.prebuilt.is_some(), "{path}: hit was not prebuilt");
+            // The formatted response for the same cached page.
+            let page = s.fleet().member(0).peek(path).unwrap();
+            let b = Response::html(page.body).with_etag(format!("\"v{}\"", page.version));
             for keep_alive in [true, false] {
                 let mut fast_bytes = Vec::new();
                 let mut slow_bytes = Vec::new();

@@ -115,9 +115,16 @@ impl Request {
 /// every request on a keep-alive stream reuses the same line buffer and
 /// the same method/path `String` allocations instead of allocating fresh
 /// ones per header line.
+///
+/// A read that times out mid-request (a slow client, a request split
+/// across TCP segments) keeps its progress: the partial line and whether
+/// the request line was already parsed survive until the next call.
 #[derive(Debug, Default)]
 pub struct RequestReader {
-    line: String,
+    /// Bytes of the line being read, possibly without its `\n` yet.
+    line: Vec<u8>,
+    /// The request line is parsed into `req`; headers are being read.
+    in_headers: bool,
 }
 
 impl RequestReader {
@@ -127,21 +134,45 @@ impl RequestReader {
     }
 
     /// Read one request from a buffered stream into `req`, reusing both
-    /// buffers. On error `req`'s contents are unspecified.
+    /// buffers. A `WouldBlock`/`TimedOut` error keeps the partial request:
+    /// call again with the same `req` to resume it. After any other error
+    /// `req`'s contents are unspecified.
     pub fn read_into<R: BufRead>(
         &mut self,
         reader: &mut R,
         req: &mut Request,
     ) -> Result<(), ParseError> {
-        self.line.clear();
-        if reader.read_line(&mut self.line)? == 0 {
+        let result = self.resume(reader, req);
+        let pending = matches!(&result, Err(ParseError::Io(e))
+            if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut));
+        if !pending {
+            self.line.clear();
+            self.in_headers = false;
+        }
+        result
+    }
+
+    /// Read the next complete line into `self.line`, appending to any
+    /// partial line an earlier timed-out call left there.
+    fn next_line<R: BufRead>(&mut self, reader: &mut R) -> Result<&str, ParseError> {
+        if reader.read_until(b'\n', &mut self.line)? == 0 {
             return Err(ParseError::ConnectionClosed);
         }
-        req.method.clear();
-        req.path.clear();
-        req.if_none_match = None;
-        {
-            let mut parts = self.line.split_whitespace();
+        std::str::from_utf8(&self.line).map_err(|_| {
+            ParseError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "request line or header is not UTF-8",
+            ))
+        })
+    }
+
+    fn resume<R: BufRead>(&mut self, reader: &mut R, req: &mut Request) -> Result<(), ParseError> {
+        if !self.in_headers {
+            let line = self.next_line(reader)?;
+            req.method.clear();
+            req.path.clear();
+            req.if_none_match = None;
+            let mut parts = line.split_whitespace();
             let method = parts
                 .next()
                 .ok_or(ParseError::Malformed("missing method"))?;
@@ -154,18 +185,16 @@ impl RequestReader {
             };
             req.method.push_str(method);
             req.path.push_str(path);
-        }
-        req.method.make_ascii_uppercase();
-        // Headers: we act on Connection and If-None-Match.
-        req.keep_alive = req.minor_version == 1;
-        loop {
+            req.method.make_ascii_uppercase();
+            // Headers: we act on Connection and If-None-Match.
+            req.keep_alive = req.minor_version == 1;
             self.line.clear();
-            if reader.read_line(&mut self.line)? == 0 {
-                return Err(ParseError::ConnectionClosed);
-            }
-            let header = self.line.trim_end();
+            self.in_headers = true;
+        }
+        loop {
+            let header = self.next_line(reader)?.trim_end();
             if header.is_empty() {
-                break;
+                return Ok(());
             }
             if let Some((name, value)) = header.split_once(':') {
                 if name.eq_ignore_ascii_case("connection") {
@@ -181,8 +210,8 @@ impl RequestReader {
             } else {
                 return Err(ParseError::Malformed("bad header"));
             }
+            self.line.clear();
         }
-        Ok(())
     }
 }
 
@@ -340,8 +369,8 @@ impl Response {
 
     /// Serialise the status line and every header (through the blank
     /// line) into `out`, which is cleared first. Byte-for-byte identical
-    /// to the historical multi-`write!` serialisation, pinned by the
-    /// `head_serialisation_matches_legacy_bytes` test.
+    /// to the historical multi-`write!` serialisation kept in the tests,
+    /// pinned by the `head_serialisation_matches_legacy_bytes` test.
     pub fn serialize_head(&self, keep_alive: bool, out: &mut Vec<u8>) {
         out.clear();
         if let Some((pre, post)) = &self.prebuilt {
@@ -393,36 +422,6 @@ impl Response {
             Some(parts) => write_all_vectored_many(w, scratch, parts)?,
             None => write_all_vectored(w, scratch, &self.body)?,
         }
-        w.flush()
-    }
-
-    /// The pre-rearchitecture serialisation: one formatted `write!` per
-    /// header group plus a separate body `write_all`. Kept verbatim as
-    /// the measured baseline for `BENCH_serving.json` (the server's
-    /// `legacy_write_path` mode) and as the oracle for the byte-
-    /// equivalence test. Prebuilt heads fall back to the buffered path so
-    /// both modes stay byte-identical on the wire.
-    pub fn write_to_legacy<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
-        if self.prebuilt.is_some() || self.parts.is_some() {
-            return self.write_to(w, keep_alive);
-        }
-        write!(
-            w,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\nServer: nagano/0.1\r\n",
-            self.status.code(),
-            self.status.reason(),
-            self.content_type,
-            self.body.len(),
-            if keep_alive { "keep-alive" } else { "close" },
-        )?;
-        if let Some(etag) = &self.etag {
-            write!(w, "ETag: {etag}\r\n")?;
-        }
-        if let Some(secs) = self.retry_after {
-            write!(w, "Retry-After: {secs}\r\n")?;
-        }
-        write!(w, "\r\n")?;
-        w.write_all(&self.body)?;
         w.flush()
     }
 }
@@ -627,6 +626,34 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    impl Response {
+        /// The historical serialisation, kept as the oracle for the wire
+        /// bytes: one formatted `write!` per header group plus a separate
+        /// body `write_all`. Plain (not prebuilt, not composed) responses
+        /// only.
+        fn write_to_legacy<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
+            assert!(self.prebuilt.is_none() && self.parts.is_none());
+            write!(
+                w,
+                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\nServer: nagano/0.1\r\n",
+                self.status.code(),
+                self.status.reason(),
+                self.content_type,
+                self.body.len(),
+                if keep_alive { "keep-alive" } else { "close" },
+            )?;
+            if let Some(etag) = &self.etag {
+                write!(w, "ETag: {etag}\r\n")?;
+            }
+            if let Some(secs) = self.retry_after {
+                write!(w, "Retry-After: {secs}\r\n")?;
+            }
+            write!(w, "\r\n")?;
+            w.write_all(&self.body)?;
+            w.flush()
+        }
+    }
+
     fn parse(s: &str) -> Result<Request, ParseError> {
         read_request(&mut BufReader::new(s.as_bytes()))
     }
@@ -758,13 +785,10 @@ mod tests {
             let mut b = Vec::new();
             slow.write_to(&mut b, keep_alive).unwrap();
             assert_eq!(a, b, "prebuilt head diverged (keep_alive={keep_alive})");
+            let mut c = Vec::new();
+            slow.write_to_legacy(&mut c, keep_alive).unwrap();
+            assert_eq!(a, c, "prebuilt head diverged from the legacy bytes");
         }
-        // And the legacy writer falls back to the same bytes.
-        let mut c = Vec::new();
-        fast.write_to_legacy(&mut c, true).unwrap();
-        let mut d = Vec::new();
-        slow.write_to(&mut d, true).unwrap();
-        assert_eq!(c, d);
     }
 
     /// Writer that accepts at most `cap` bytes per call (and ignores all
@@ -813,8 +837,8 @@ mod tests {
                 "composed wire bytes diverged (keep_alive={keep_alive})"
             );
             let mut c = Vec::new();
-            composed.write_to_legacy(&mut c, keep_alive).unwrap();
-            assert_eq!(a, c, "legacy fallback diverged (keep_alive={keep_alive})");
+            whole.write_to_legacy(&mut c, keep_alive).unwrap();
+            assert_eq!(a, c, "composed diverged from the legacy bytes");
         }
         // Partial writes of every dribble size reassemble the same bytes.
         let mut want = Vec::new();
@@ -879,6 +903,71 @@ mod tests {
             scratch.read_into(&mut reader, &mut req),
             Err(ParseError::ConnectionClosed)
         ));
+    }
+
+    /// Reader over `data` that fails once with `WouldBlock` when its
+    /// position reaches `pause`, as a socket read timeout does when a
+    /// client stalls mid-request.
+    struct PausingReader<'a> {
+        data: &'a [u8],
+        pos: usize,
+        pause: usize,
+        paused: bool,
+    }
+
+    impl io::Read for PausingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.pause && !self.paused {
+                self.paused = true;
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let end = if self.pos < self.pause {
+                self.pause
+            } else {
+                self.data.len()
+            };
+            let n = buf.len().min(end - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn request_split_by_a_timeout_at_any_byte_parses_like_the_whole() {
+        let first = "get /medals HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\
+                     If-None-Match: \"v3\"\r\n\r\n";
+        let wire = format!("{first}GET /next HTTP/1.0\r\n\r\n");
+        let whole = parse(first).unwrap();
+        assert!(!whole.keep_alive && whole.if_none_match.is_some());
+        for pause in 0..=wire.len() {
+            let mut reader = BufReader::new(PausingReader {
+                data: wire.as_bytes(),
+                pos: 0,
+                pause,
+                paused: false,
+            });
+            let mut scratch = RequestReader::new();
+            let mut req = Request::empty();
+            let mut timeouts = 0;
+            let mut read = |req: &mut Request| loop {
+                match scratch.read_into(&mut reader, req) {
+                    Ok(()) => return,
+                    Err(ParseError::Io(e)) if e.kind() == io::ErrorKind::WouldBlock => {
+                        timeouts += 1;
+                    }
+                    Err(e) => panic!("pause at byte {pause}: {e:?}"),
+                }
+            };
+            read(&mut req);
+            assert_eq!(req, whole, "pause at byte {pause}");
+            read(&mut req);
+            assert_eq!((req.method.as_str(), req.path.as_str()), ("GET", "/next"));
+            assert!(req.if_none_match.is_none() && !req.keep_alive);
+            // A pause at the very end is never reached.
+            let expected = usize::from(pause < wire.len());
+            assert_eq!(timeouts, expected, "pause at byte {pause}");
+        }
     }
 
     #[test]

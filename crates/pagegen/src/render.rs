@@ -12,7 +12,7 @@
 //!    underlying data and objects to the cache." The trigger monitor
 //!    registers these edges in the ODG after every (re)generation, so the
 //!    graph tracks the page space as it evolves;
-//! 3. the modelled CPU **cost** (used for accounting and GreedyDual-Size).
+//! 3. the modelled CPU **cost** (used for accounting).
 //!
 //! Composed pages (home, sport, event) embed fragments by *reference to
 //! the fragment object*, which makes fragments hybrid vertices: data

@@ -312,7 +312,7 @@ impl TriggerMonitor {
                 None => self.renderer.render(key).body,
             };
             // The cache entry's cost is what recreating the body takes
-            // with a warm fragment store (GreedyDual-Size currency).
+            // with a warm fragment store.
             let cost = plan.skeleton_cost_ms() + plan.compose_cost_ms();
             self.fleet.distribute(&key.to_url(), body, cost);
             plane.index.lock().insert(plan);

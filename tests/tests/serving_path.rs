@@ -2,8 +2,9 @@
 //! keep-alive connection carrying mixed 200/304/503 sequences, with the
 //! invariants the zero-copy rearchitecture must preserve — a 304 puts
 //! zero body bytes on the wire, a shed 503 closes its connection while
-//! page connections keep flowing, and the prebuilt-head fast path is
-//! byte-identical to the legacy formatted write path.
+//! page connections keep flowing, the prebuilt-head fast path is
+//! byte-identical to a formatted response, and a request that arrives in
+//! pieces with pauses between them is served like a whole one.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -12,6 +13,7 @@ use std::time::Duration;
 
 use nagano::{ServingSite, SiteConfig};
 use nagano_httpd::{Handler, Request, Response, Server, ServerConfig, Status};
+use nagano_pagegen::PageKey;
 
 /// One parsed raw response: status code, headers (lowercased names), and
 /// the exact body bytes that followed the header block.
@@ -230,27 +232,13 @@ fn overloaded_server_mixes_503_sheds_with_served_pages() {
 
 #[test]
 fn prebuilt_fast_path_is_byte_identical_to_legacy_formatted_path() {
-    let fast_site = Arc::new(ServingSite::build(SiteConfig::small()));
-    let mut legacy_cfg = SiteConfig::small();
-    legacy_cfg.prebuilt_heads = false;
-    let legacy_site = Arc::new(ServingSite::build(legacy_cfg));
-
-    let fast_server = fast_site
+    let site = Arc::new(ServingSite::build(SiteConfig::small()));
+    let server = site
         .serve_http("127.0.0.1:0", 0, ServerConfig::default())
         .unwrap();
-    let legacy_server = legacy_site
-        .serve_http(
-            "127.0.0.1:0",
-            0,
-            ServerConfig {
-                legacy_write_path: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
 
-    let fetch = |addr, path: &str, etag: Option<&str>| -> Vec<u8> {
-        let mut s = TcpStream::connect(addr).unwrap();
+    let fetch = |path: &str, etag: Option<&str>| -> Vec<u8> {
+        let mut s = TcpStream::connect(server.addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         send_get(&mut s, path, etag, true);
         let mut bytes = Vec::new();
@@ -258,16 +246,72 @@ fn prebuilt_fast_path_is_byte_identical_to_legacy_formatted_path() {
         bytes
     };
     for path in ["/medals", "/day/1/", "/welcome", "/bogus"] {
+        // The formatted response the server would send for this request,
+        // built from the same cached page.
+        let cached = PageKey::parse(path).and_then(|k| site.fleet().member(0).peek(&k.to_url()));
         for etag in [None, Some("\"v1\""), Some("\"v7\"")] {
-            let fast = fetch(fast_server.addr(), path, etag);
-            let legacy = fetch(legacy_server.addr(), path, etag);
-            assert!(!fast.is_empty());
+            let expected = match &cached {
+                None => Response::not_found(),
+                Some(page) => {
+                    let tag = format!("\"v{}\"", page.version);
+                    if etag == Some(tag.as_str()) {
+                        Response::not_modified(tag)
+                    } else {
+                        Response::html(page.body.clone()).with_etag(tag)
+                    }
+                }
+            };
+            let mut want = Vec::new();
+            expected.write_to(&mut want, false).unwrap();
             assert_eq!(
-                fast, legacy,
+                fetch(path, etag),
+                want,
                 "wire bytes diverge for {path} If-None-Match {etag:?}"
             );
         }
     }
-    fast_server.shutdown();
-    legacy_server.shutdown();
+    server.shutdown();
+}
+
+/// Send `pieces` on one connection with a pause longer than the server's
+/// 50 ms read poll after each but the last, then read the one response.
+fn send_in_pieces(addr: std::net::SocketAddr, pieces: &[&str]) -> RawResponse {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reader = BufReader::new(s.try_clone().unwrap());
+    for (i, piece) in pieces.iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        s.write_all(piece.as_bytes()).unwrap();
+        s.flush().unwrap();
+    }
+    read_raw_response(&mut reader)
+}
+
+#[test]
+fn requests_split_by_pauses_are_served() {
+    let site = Arc::new(ServingSite::build(SiteConfig::small()));
+    let server = site
+        .serve_http("127.0.0.1:0", 0, ServerConfig::default())
+        .unwrap();
+    let medals = site.fleet().member(0).peek("/medals").unwrap().body;
+    let split_requests: [&[&str]; 2] = [
+        // A pause inside the request line.
+        &[
+            "GET /medals",
+            " HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        ],
+        // A pause inside a header line.
+        &[
+            "GET /medals HTTP/1.1\r\nHo",
+            "st: x\r\nConnection: close\r\n\r\n",
+        ],
+    ];
+    for pieces in split_requests {
+        let resp = send_in_pieces(server.addr(), pieces);
+        assert_eq!(resp.code, 200, "{pieces:?}");
+        assert_eq!(resp.body[..], medals[..], "{pieces:?}");
+    }
+    server.shutdown();
 }
