@@ -2,14 +2,15 @@
 //! serving throughput, DUP propagation scaling, and the cache memory
 //! footprint.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serde_json::json;
 
 use nagano::{ServingSite, SiteConfig};
 use nagano_db::{seed_games, OlympicDb};
-use nagano_httpd::{Handler, LoadRunner, Request, Response, Server, ServerConfig};
+use nagano_httpd::{Handler, Request, Response, Server, ServerConfig};
 use nagano_odg::{DupEngine, NodeId};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimDuration, SimTime};
@@ -19,6 +20,7 @@ use rustc_hash::FxHashMap;
 
 use super::{full_report, games_for, report_for_policy};
 use crate::fmt::TextTable;
+use crate::loadgen::{self, LoadPlan, PlanConfig, RunReport};
 use crate::{ExpConfig, ExpResult};
 
 /// The headline comparison: hit rate under each consistency strategy.
@@ -107,18 +109,37 @@ fn ttl_and_nocache(config: &ExpConfig) -> (f64, f64) {
     (ttl_rate, 0.0) // no-cache: every request generates
 }
 
+/// Planned request rate of the two cache-served arms of [`throughput`]:
+/// about what one 2-core host serves, so each arm runs for roughly the
+/// configured time.
+const CACHE_SERVED_RPS: f64 = 100_000.0;
+
 /// Serving throughput over real sockets: static pages vs cached dynamic
-/// pages vs uncached dynamic generation.
+/// pages vs uncached dynamic generation. Each arm is a closed-loop
+/// [`loadgen`] plan over eight keep-alive connections.
 pub fn throughput(config: &ExpConfig) -> ExpResult {
-    let duration = if config.quick {
-        Duration::from_millis(400)
-    } else {
-        Duration::from_secs(2)
-    };
-    let clients = 8;
+    let run_secs = if config.quick { 0.4 } else { 2.0 };
+    let connections = 8;
     let server_cfg = || ServerConfig {
         workers: 8,
         ..Default::default()
+    };
+    // `requests` GETs (in expectation) drawn uniformly from `paths`,
+    // issued back-to-back on every connection.
+    let run = |addr: SocketAddr, paths: &[String], requests: f64| -> RunReport {
+        let pages: Vec<(String, f64)> = paths.iter().map(|p| (p.clone(), 1.0)).collect();
+        let plan = LoadPlan::generate(
+            PlanConfig {
+                seed: config.seed,
+                connections,
+                rate_rps: requests / run_secs,
+                duration_secs: run_secs,
+                inm_fraction: 0.0,
+                closed_loop: true,
+            },
+            &pages,
+        );
+        loadgen::execute(&plan, addr)
     };
 
     // Warm site serving from cache.
@@ -134,33 +155,39 @@ pub fn throughput(config: &ExpConfig) -> ExpResult {
         "/nagano".to_string(),
         "/fun".to_string(),
     ];
-    let static_report = LoadRunner::new(clients, static_paths).run(server.addr(), duration);
+    let static_report = run(server.addr(), &static_paths, CACHE_SERVED_RPS * run_secs);
 
     let events = site.db().events();
-    let dynamic_paths: Vec<String> = events
+    let dynamic_keys: Vec<PageKey> = events
         .iter()
         .take(6)
-        .map(|e| PageKey::Event(e.id).to_url())
-        .chain([PageKey::Medals.to_url(), PageKey::Home(7).to_url()])
+        .map(|e| PageKey::Event(e.id))
+        .chain([PageKey::Medals, PageKey::Home(7)])
         .collect();
-    let cached_report =
-        LoadRunner::new(clients, dynamic_paths.clone()).run(server.addr(), duration);
+    let dynamic_paths: Vec<String> = dynamic_keys.iter().map(|k| k.to_url()).collect();
+    let cached_report = run(server.addr(), &dynamic_paths, CACHE_SERVED_RPS * run_secs);
     server.shutdown();
 
     // Uncached dynamic: regenerate on every request, burning the modelled
-    // CPU cost for real (FastCGI server program without the cache).
+    // CPU cost for real (FastCGI server program without the cache). Each
+    // connection then completes one request per mean modelled cost.
     let renderer = Renderer::new(Arc::clone(site.db())).with_simulated_cpu(1.0);
+    let mean_cost_ms = dynamic_keys
+        .iter()
+        .map(|&k| renderer.cost_model().cost_ms(k))
+        .sum::<f64>()
+        / dynamic_keys.len() as f64;
+    let uncached_requests = connections as f64 * run_secs * 1_000.0 / mean_cost_ms;
     let uncached_handler: Arc<dyn Handler> =
         Arc::new(move |req: &Request| match PageKey::parse(&req.path) {
             Some(key) => Response::html(renderer.render(key).body),
             None => Response::not_found(),
         });
     let uncached_server = Server::bind("127.0.0.1:0", uncached_handler, server_cfg()).unwrap();
-    let uncached_report =
-        LoadRunner::new(clients, dynamic_paths).run(uncached_server.addr(), duration);
+    let uncached_report = run(uncached_server.addr(), &dynamic_paths, uncached_requests);
     uncached_server.shutdown();
 
-    let mut table = TextTable::new(["configuration", "pages/s", "mean latency (ms)"]);
+    let mut table = TextTable::new(["configuration", "pages/s", "p50 latency (ms)"]);
     for (name, r) in [
         ("static pages", &static_report),
         ("cached dynamic (DUP)", &cached_report),
@@ -168,29 +195,28 @@ pub fn throughput(config: &ExpConfig) -> ExpResult {
     ] {
         table.row([
             name.to_string(),
-            format!("{:.0}", r.rps()),
-            format!("{:.2}", r.mean_latency_ms),
+            format!("{:.0}", r.rps),
+            format!("{:.2}", r.p50_ms),
         ]);
     }
-    let ratio_cached = cached_report.rps() / static_report.rps().max(1.0);
-    let speedup = cached_report.rps() / uncached_report.rps().max(0.1);
+    let ratio_cached = cached_report.rps / static_report.rps.max(1.0);
+    let speedup = cached_report.rps / uncached_report.rps.max(0.1);
     let verdict = format!(
         "Paper: cached dynamic pages served 'at roughly the same rates as static pages'; \
          a single server serves several hundred cacheable dynamic pages/s, while uncached \
          dynamic generation is orders of magnitude slower.\n\
          Measured: cached-dynamic/static ratio {ratio_cached:.2}; caching speedup over \
          uncached generation {speedup:.0}x; uncached {:.0} pages/s vs cached {:.0}.",
-        uncached_report.rps(),
-        cached_report.rps()
+        uncached_report.rps, cached_report.rps
     );
     ExpResult {
         id: "throughput",
         title: "Serving throughput: static vs cached-dynamic vs uncached-dynamic (real sockets)",
         rendered: table.render(),
         json: json!({
-            "static_rps": static_report.rps(),
-            "cached_rps": cached_report.rps(),
-            "uncached_rps": uncached_report.rps(),
+            "static_rps": static_report.rps,
+            "cached_rps": cached_report.rps,
+            "uncached_rps": uncached_report.rps,
             "cached_vs_static": ratio_cached,
             "cache_speedup": speedup,
         }),

@@ -18,14 +18,12 @@
 //!   send time, so queueing delay behind a slow server is charged to
 //!   the server (the open-loop / coordinated-omission-free convention).
 
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use rustc_hash::FxHashMap;
 
-use nagano_httpd::read_response_full;
+use nagano_httpd::HttpClient;
 use nagano_simcore::{DeterministicRng, Exponential};
 
 /// Parameters of a load plan. Everything here is part of the schedule
@@ -163,7 +161,8 @@ pub struct RunReport {
     pub shed: u64,
     /// Transport errors (failed sends/reads; not counted in `completed`).
     pub errors: u64,
-    /// Reconnects after the server closed a connection.
+    /// Connections reopened: after a 503 shed, a transport error, or the
+    /// server closing an idle connection.
     pub reconnects: u64,
     /// Total body bytes received.
     pub body_bytes: u64,
@@ -249,7 +248,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 
 /// Per-connection raw tallies, merged by [`execute`].
 #[derive(Debug, Default)]
-struct ConnTally {
+struct Tally {
     latencies_us: Vec<u64>,
     ok200: u64,
     not_modified: u64,
@@ -270,7 +269,7 @@ pub fn execute(plan: &LoadPlan, addr: SocketAddr) -> RunReport {
     let closed_loop = plan.config.closed_loop;
     // nagano-lint: allow(D001) — the harness measures real-socket wall-clock latency by design
     let start = Instant::now();
-    let tallies: Vec<ConnTally> = std::thread::scope(|s| {
+    let tallies: Vec<Tally> = std::thread::scope(|s| {
         let handles: Vec<_> = per_conn
             .into_iter()
             .map(|reqs| {
@@ -323,73 +322,23 @@ fn percentile_ms(sorted_us: &[u64], q: f64) -> f64 {
     sorted_us[idx] as f64 / 1_000.0
 }
 
-struct Conn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Conn {
-    fn open(addr: SocketAddr) -> std::io::Result<Conn> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let read_half = stream.try_clone()?;
-        Ok(Conn {
-            stream,
-            reader: BufReader::new(read_half),
-        })
-    }
-
-    /// Send one GET and read the response; `scratch` is the reused
-    /// request-bytes buffer.
-    fn round_trip(
-        &mut self,
-        path: &str,
-        etag: Option<&str>,
-        scratch: &mut Vec<u8>,
-    ) -> std::io::Result<(u16, Bytes, Option<String>)> {
-        scratch.clear();
-        scratch.extend_from_slice(b"GET ");
-        scratch.extend_from_slice(path.as_bytes());
-        scratch.extend_from_slice(b" HTTP/1.1\r\nHost: nagano\r\nConnection: keep-alive\r\n");
-        if let Some(tag) = etag {
-            scratch.extend_from_slice(b"If-None-Match: ");
-            scratch.extend_from_slice(tag.as_bytes());
-            scratch.extend_from_slice(b"\r\n");
-        }
-        scratch.extend_from_slice(b"\r\n");
-        self.stream.write_all(scratch)?;
-        read_response_full(&mut self.reader).map_err(|e| match e {
-            nagano_httpd::ParseError::Io(e) => e,
-            nagano_httpd::ParseError::ConnectionClosed => std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed connection",
-            ),
-            nagano_httpd::ParseError::Malformed(m) => {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, m)
-            }
-        })
-    }
-}
-
 fn drive_connection(
     addr: SocketAddr,
     reqs: &[PlannedRequest],
     paths: &[String],
     start: Instant,
     closed_loop: bool,
-) -> ConnTally {
-    let mut tally = ConnTally {
+) -> Tally {
+    let mut tally = Tally {
         latencies_us: Vec::with_capacity(reqs.len()),
-        ..ConnTally::default()
+        ..Tally::default()
     };
-    let Ok(mut conn) = Conn::open(addr) else {
+    let Ok(mut client) = HttpClient::connect(addr) else {
         tally.errors += reqs.len() as u64;
         return tally;
     };
     // Last entity tag seen per page, for the conditional-GET mix.
     let mut etags: FxHashMap<u32, String> = FxHashMap::default();
-    let mut scratch: Vec<u8> = Vec::with_capacity(128);
     for r in reqs {
         // Open loop: sleep until the scheduled start and charge latency
         // from it. If we are already late (server backlog), the delay is
@@ -412,7 +361,7 @@ fn drive_connection(
         } else {
             None
         };
-        match conn.round_trip(path, etag, &mut scratch) {
+        match client.get_conditional(path, etag) {
             Ok((code, body, new_etag)) => {
                 tally.latencies_us.push(t0.elapsed().as_micros() as u64);
                 tally.body_bytes += body.len() as u64;
@@ -429,13 +378,9 @@ fn drive_connection(
                         // the 503; reopen unconditionally so either shed
                         // flavour leaves a usable connection.
                         tally.shed += 1;
-                        tally.reconnects += 1;
-                        match Conn::open(addr) {
-                            Ok(c) => conn = c,
-                            Err(_) => {
-                                tally.errors += 1;
-                                break;
-                            }
+                        if client.reconnect().is_err() {
+                            tally.errors += 1;
+                            break;
                         }
                     }
                     _ => tally.errors += 1,
@@ -443,14 +388,13 @@ fn drive_connection(
             }
             Err(_) => {
                 tally.errors += 1;
-                tally.reconnects += 1;
-                match Conn::open(addr) {
-                    Ok(c) => conn = c,
-                    Err(_) => break,
+                if client.reconnect().is_err() {
+                    break;
                 }
             }
         }
     }
+    tally.reconnects = client.reconnects();
     tally
 }
 
@@ -459,6 +403,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    use bytes::Bytes;
     use nagano_httpd::{Request, Response, Server, ServerConfig};
 
     fn sample_pages() -> Vec<(String, f64)> {
@@ -530,12 +475,13 @@ mod tests {
 
     #[test]
     fn executor_drives_a_live_server() {
+        const BODY: &[u8] = b"<html>load</html>";
         let handler = Arc::new(|req: &Request| {
             let etag = "\"v7\"".to_string();
             if req.if_none_match.as_deref() == Some(etag.as_str()) {
                 Response::not_modified(etag)
             } else {
-                Response::html(Bytes::from_static(b"<html>load</html>")).with_etag(etag)
+                Response::html(Bytes::from_static(BODY)).with_etag(etag)
             }
         });
         let server = Server::bind("127.0.0.1:0", handler, ServerConfig::default()).unwrap();
@@ -561,6 +507,8 @@ mod tests {
         assert!(report.p50_ms >= 0.0 && report.p99_ms >= report.p50_ms);
         assert!(report.rps > 0.0 && report.per_core_rps > 0.0);
         assert_eq!(report.shed, 0);
+        // 304s carry no body, so every body byte belongs to a 200.
+        assert_eq!(report.body_bytes, report.ok200 * BODY.len() as u64);
         server.shutdown();
     }
 

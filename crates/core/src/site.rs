@@ -46,9 +46,6 @@ pub struct SiteConfig {
     pub policy: ConsistencyPolicy,
     /// DUP staleness policy.
     pub staleness: StalenessPolicy,
-    /// When set, page generation burns real CPU at `cost × scale`
-    /// (throughput experiments).
-    pub cpu_scale: Option<f64>,
     /// Warm every page and build the full ODG at construction (the
     /// production prefetch). Disable to study cold-start behaviour.
     pub prewarm: bool,
@@ -73,7 +70,6 @@ impl SiteConfig {
             cache: CacheConfig::default(),
             policy: ConsistencyPolicy::UpdateInPlace,
             staleness: StalenessPolicy::Strict,
-            cpu_scale: None,
             prewarm: true,
             request_budget_secs: 2.0,
             fragment_mode: false,
@@ -181,12 +177,8 @@ impl ServingSite {
             let (pre, post) = nagano_httpd::prebuilt_html_head(body.len(), version);
             nagano_cache::PrebuiltHead { pre, post }
         }));
-        let mut renderer = Renderer::new(Arc::clone(&db));
-        if let Some(scale) = config.cpu_scale {
-            renderer = renderer.with_simulated_cpu(scale);
-        }
         let mut monitor = TriggerMonitor::new(
-            renderer,
+            Renderer::new(Arc::clone(&db)),
             Arc::clone(&fleet),
             Arc::clone(&registry),
             config.policy,

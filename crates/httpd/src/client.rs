@@ -1,37 +1,43 @@
-//! Keep-alive HTTP client and a closed-loop load generator.
+//! The workspace's one HTTP client: a blocking keep-alive connection.
 //!
-//! The load generator drives the `throughput` experiment: N client threads
-//! each holding a persistent connection, issuing GETs back-to-back for a
-//! fixed duration — the standard closed-loop capacity measurement.
+//! Tests, examples and the load generator (`nagano_bench::loadgen`) all
+//! speak HTTP through [`HttpClient`]. Every request goes out on one send
+//! path, so all methods share the same framing, the same error mapping
+//! and the same recovery when the server has closed an idle connection.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 
-use crate::http::{read_response, read_response_full, ParseError};
+use crate::http::{read_response_full, ParseError};
 
 /// A blocking keep-alive HTTP client.
 pub struct HttpClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     addr: SocketAddr,
+    reconnects: u64,
+}
+
+fn open(addr: SocketAddr) -> std::io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    let read_half = stream.try_clone()?;
+    Ok((BufReader::new(read_half), BufWriter::new(stream)))
 }
 
 impl HttpClient {
     /// Connect to a server.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let read_half = stream.try_clone()?;
+        let (reader, writer) = open(addr)?;
         Ok(HttpClient {
-            reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
+            reader,
+            writer,
             addr,
+            reconnects: 0,
         })
     }
 
@@ -40,37 +46,29 @@ impl HttpClient {
         self.addr
     }
 
-    /// Issue a GET; returns (status, body). Reconnects transparently if
-    /// the server closed the idle connection.
-    pub fn get(&mut self, path: &str) -> std::io::Result<(u16, Bytes)> {
-        match self.request("GET", path) {
-            Ok(r) => Ok(r),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                *self = HttpClient::connect(self.addr)?;
-                self.request("GET", path)
-            }
-            Err(e) => Err(e),
-        }
+    /// Drop the current connection and open a fresh one to the same
+    /// server.
+    pub fn reconnect(&mut self) -> std::io::Result<()> {
+        (self.reader, self.writer) = open(self.addr)?;
+        self.reconnects += 1;
+        Ok(())
     }
 
-    /// Issue a request with an arbitrary method.
+    /// Connections reopened so far, by [`reconnect`](Self::reconnect) or
+    /// transparently after an idle close.
+    pub fn reconnects(&self) -> u64 {
+        self.reconnects
+    }
+
+    /// Issue a GET; returns (status, body).
+    pub fn get(&mut self, path: &str) -> std::io::Result<(u16, Bytes)> {
+        self.request("GET", path)
+    }
+
+    /// Issue a request with an arbitrary method; returns (status, body).
     pub fn request(&mut self, method: &str, path: &str) -> std::io::Result<(u16, Bytes)> {
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nHost: nagano\r\nConnection: keep-alive\r\n\r\n"
-        )?;
-        self.writer.flush()?;
-        match read_response(&mut self.reader) {
-            Ok(r) => Ok(r),
-            Err(ParseError::Io(e)) => Err(e),
-            Err(ParseError::ConnectionClosed) => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed connection",
-            )),
-            Err(ParseError::Malformed(m)) => {
-                Err(std::io::Error::new(std::io::ErrorKind::InvalidData, m))
-            }
-        }
+        let (code, body, _) = self.send(method, path, None)?;
+        Ok((code, body))
     }
 
     /// Conditional GET: sends `If-None-Match` when a validator is known.
@@ -81,183 +79,94 @@ impl HttpClient {
         path: &str,
         etag: Option<&str>,
     ) -> std::io::Result<(u16, Bytes, Option<String>)> {
-        match etag {
-            Some(tag) => write!(
-                self.writer,
-                "GET {path} HTTP/1.1\r\nHost: nagano\r\nConnection: keep-alive\r\nIf-None-Match: {tag}\r\n\r\n"
-            )?,
-            None => write!(
-                self.writer,
-                "GET {path} HTTP/1.1\r\nHost: nagano\r\nConnection: keep-alive\r\n\r\n"
-            )?,
-        }
-        self.writer.flush()?;
-        match read_response_full(&mut self.reader) {
-            Ok(r) => Ok(r),
-            Err(ParseError::Io(e)) => Err(e),
-            Err(ParseError::ConnectionClosed) => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed connection",
-            )),
-            Err(ParseError::Malformed(m)) => {
-                Err(std::io::Error::new(std::io::ErrorKind::InvalidData, m))
+        self.send("GET", path, etag)
+    }
+
+    /// The one send path. When the server has closed the idle keep-alive
+    /// connection, the read hits end-of-stream before any response; the
+    /// client then reconnects and sends the request once more.
+    fn send(
+        &mut self,
+        method: &str,
+        path: &str,
+        etag: Option<&str>,
+    ) -> std::io::Result<(u16, Bytes, Option<String>)> {
+        match self.round_trip(method, path, etag) {
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                self.reconnect()?;
+                self.round_trip(method, path, etag)
             }
+            r => r,
         }
     }
-}
 
-/// Aggregate results of a load run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadReport {
-    /// Total successful requests.
-    pub requests: u64,
-    /// Total error responses / failures.
-    pub errors: u64,
-    /// Total body bytes received.
-    pub bytes: u64,
-    /// Wall-clock duration of the run in seconds.
-    pub elapsed_secs: f64,
-    /// Mean per-request latency in milliseconds.
-    pub mean_latency_ms: f64,
-}
-
-impl LoadReport {
-    /// Requests per second.
-    pub fn rps(&self) -> f64 {
-        if self.elapsed_secs == 0.0 {
-            0.0
-        } else {
-            self.requests as f64 / self.elapsed_secs
+    fn round_trip(
+        &mut self,
+        method: &str,
+        path: &str,
+        etag: Option<&str>,
+    ) -> std::io::Result<(u16, Bytes, Option<String>)> {
+        write!(
+            self.writer,
+            "{method} {path} HTTP/1.1\r\nHost: nagano\r\nConnection: keep-alive\r\n"
+        )?;
+        if let Some(tag) = etag {
+            write!(self.writer, "If-None-Match: {tag}\r\n")?;
         }
-    }
-}
-
-/// Closed-loop load generator.
-pub struct LoadRunner {
-    /// Concurrent client connections.
-    pub clients: usize,
-    /// Paths cycled through by each client.
-    pub paths: Vec<String>,
-}
-
-impl LoadRunner {
-    /// New runner with `clients` connections over `paths`.
-    pub fn new(clients: usize, paths: Vec<String>) -> Self {
-        assert!(clients > 0 && !paths.is_empty());
-        LoadRunner { clients, paths }
-    }
-
-    /// Drive the server at `addr` for `duration`; returns the aggregate
-    /// report.
-    pub fn run(&self, addr: SocketAddr, duration: Duration) -> LoadReport {
-        let stop = Arc::new(AtomicBool::new(false));
-        // nagano-lint: allow(D001) — load generator measures real-socket wall-clock throughput by design
-        let started = Instant::now();
-        let mut handles = Vec::with_capacity(self.clients);
-        for c in 0..self.clients {
-            let stop = Arc::clone(&stop);
-            let paths = self.paths.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut requests = 0u64;
-                let mut errors = 0u64;
-                let mut bytes = 0u64;
-                let mut latency_total = Duration::ZERO;
-                let Ok(mut client) = HttpClient::connect(addr) else {
-                    return (0, 1, 0, Duration::ZERO);
-                };
-                let mut i = c; // stagger path phase across clients
-                while !stop.load(Relaxed) {
-                    let path = &paths[i % paths.len()];
-                    i += 1;
-                    // nagano-lint: allow(D001) — per-request wall-clock latency over a real TCP socket
-                    let t0 = Instant::now();
-                    match client.get(path) {
-                        Ok((200, body)) => {
-                            requests += 1;
-                            bytes += body.len() as u64;
-                            latency_total += t0.elapsed();
-                        }
-                        Ok(_) => errors += 1,
-                        Err(_) => {
-                            errors += 1;
-                            match HttpClient::connect(addr) {
-                                Ok(cl) => client = cl,
-                                Err(_) => break,
-                            }
-                        }
-                    }
-                }
-                (requests, errors, bytes, latency_total)
-            }));
-        }
-        std::thread::sleep(duration);
-        stop.store(true, Relaxed);
-        let mut requests = 0;
-        let mut errors = 0;
-        let mut bytes = 0;
-        let mut latency_total = Duration::ZERO;
-        for h in handles {
-            let (r, e, b, l) = h.join().unwrap_or((0, 1, 0, Duration::ZERO));
-            requests += r;
-            errors += e;
-            bytes += b;
-            latency_total += l;
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        LoadReport {
-            requests,
-            errors,
-            bytes,
-            elapsed_secs: elapsed,
-            mean_latency_ms: if requests == 0 {
-                0.0
-            } else {
-                latency_total.as_secs_f64() * 1_000.0 / requests as f64
-            },
-        }
+        self.writer.write_all(b"\r\n")?;
+        self.writer.flush()?;
+        read_response_full(&mut self.reader).map_err(|e| match e {
+            ParseError::Io(e) => e,
+            ParseError::ConnectionClosed => {
+                std::io::Error::new(ErrorKind::UnexpectedEof, "server closed connection")
+            }
+            ParseError::Malformed(m) => std::io::Error::new(ErrorKind::InvalidData, m),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::http::{Request, Response};
     use crate::server::{Handler, Server, ServerConfig};
 
-    fn tiny_server() -> Server {
-        let handler: Arc<dyn Handler> =
-            Arc::new(|_req: &Request| Response::html(Bytes::from_static(b"<html>ok</html>")));
-        Server::bind("127.0.0.1:0", handler, ServerConfig::default()).unwrap()
-    }
-
     #[test]
-    fn load_runner_measures_throughput() {
-        let server = tiny_server();
-        let runner = LoadRunner::new(4, vec!["/a".into(), "/b".into()]);
-        let report = runner.run(server.addr(), Duration::from_millis(300));
-        assert!(report.requests > 100, "requests {}", report.requests);
-        assert_eq!(report.errors, 0);
-        assert_eq!(report.bytes, report.requests * 15);
-        assert!(report.rps() > 300.0, "rps {}", report.rps());
-        assert!(report.mean_latency_ms > 0.0);
+    fn every_method_survives_an_idle_close() {
+        let handler: Arc<dyn Handler> = Arc::new(|req: &Request| {
+            let etag = "\"v1\"".to_string();
+            if req.if_none_match.as_deref() == Some(etag.as_str()) {
+                Response::not_modified(etag)
+            } else {
+                Response::html(Bytes::from_static(b"<html>ok</html>")).with_etag(etag)
+            }
+        });
+        let server = Server::bind(
+            "127.0.0.1:0",
+            handler,
+            ServerConfig {
+                read_timeout: Duration::from_millis(100),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let idle = || std::thread::sleep(Duration::from_millis(400));
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+
+        let (code, _, etag) = client.get_conditional("/a", None).unwrap();
+        assert_eq!(code, 200);
+        assert_eq!(etag.as_deref(), Some("\"v1\""));
+        idle();
+        let (code, body, _) = client.get_conditional("/a", etag.as_deref()).unwrap();
+        assert_eq!((code, body.len()), (304, 0));
+        assert_eq!(client.reconnects(), 1);
+
+        idle();
+        let (code, body) = client.get("/a").unwrap();
+        assert_eq!((code, &body[..]), (200, &b"<html>ok</html>"[..]));
+        assert_eq!(client.reconnects(), 2);
         server.shutdown();
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_empty_paths() {
-        let _ = LoadRunner::new(1, vec![]);
-    }
-
-    #[test]
-    fn report_rps_handles_zero() {
-        let r = LoadReport {
-            requests: 0,
-            errors: 0,
-            bytes: 0,
-            elapsed_secs: 0.0,
-            mean_latency_ms: 0.0,
-        };
-        assert_eq!(r.rps(), 0.0);
     }
 }

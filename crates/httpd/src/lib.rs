@@ -1,4 +1,4 @@
-//! A minimal threaded HTTP/1.1 server and load-generation client.
+//! A minimal threaded HTTP/1.1 server and its keep-alive client.
 //!
 //! The paper's serving nodes ran a conventional httpd with server programs
 //! attached through FastCGI (§2: CGI "incurs too much overhead. Instead,
@@ -11,8 +11,8 @@
 //!   1.1, keep-alive, Content-Length framing).
 //! * [`server`] — a blocking accept loop feeding a fixed worker pool over
 //!   a crossbeam channel; handlers implement [`Handler`].
-//! * [`client`] — a keep-alive client and a closed-loop load generator
-//!   used by the `throughput` experiment (real sockets, real bytes).
+//! * [`client`] — the keep-alive client ([`HttpClient`]) that tests,
+//!   examples and `nagano_bench::loadgen` drive the server with.
 //! * [`log`] — NCSA Common Log Format access logging and the log
 //!   aggregations that drove the paper's 1998 redesign (§3.1).
 //! * [`metrics`] — per-endpoint request counters ([`HttpdMetrics`]) that
@@ -32,7 +32,7 @@ pub mod metrics;
 pub mod server;
 
 pub use admin::{AdminPlane, StatusFn};
-pub use client::{HttpClient, LoadReport, LoadRunner};
+pub use client::HttpClient;
 pub use http::{
     prebuilt_html_head, read_response, read_response_full, ParseError, Request, RequestReader,
     Response, Status,

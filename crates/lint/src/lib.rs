@@ -34,8 +34,8 @@
 //! Intentional exceptions carry an inline allowlist annotation with a
 //! mandatory reason (syntax in DESIGN.md §10); a malformed annotation
 //! is itself an error (A000). Test code (`#[cfg(test)]` / `#[test]`)
-//! is exempt. Pre-existing debt can alternatively be budgeted in a
-//! [`Baseline`] file and ratcheted down over time.
+//! is exempt. There is no suppression file: the tree must lint clean
+//! outright.
 //!
 //! The analyzer is dependency-free by design: it lexes Rust directly
 //! (comments, strings, raw strings, and test items handled in
@@ -45,7 +45,6 @@
 //! `(file, line, rule, message)` and byte-identical across runs, so
 //! lint results fall under the same determinism gate as the telemetry.
 
-mod baseline;
 mod export;
 mod lexer;
 mod locks;
@@ -58,7 +57,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use baseline::{Baseline, BaselineOutcome};
 pub use export::{render_json, render_sarif};
 pub use lexer::{lex, strip_tests, Allow, LexOutput, MalformedAllow, TokKind, Token};
 pub use rules::{lint_metric_docs, lint_source, Diagnostic, RuleInfo, RULES};

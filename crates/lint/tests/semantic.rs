@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use nagano_lint::{lint_workspace, render_sarif, Baseline};
+use nagano_lint::{lint_workspace, render_sarif};
 
 fn fixture_root(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -80,27 +80,6 @@ fn the_fixed_mirror_workspace_is_clean() {
         report.diagnostics
     );
     assert_eq!(report.files_scanned, 4);
-}
-
-#[test]
-fn a_baseline_written_from_the_report_suppresses_exactly_it() {
-    let report = lint_workspace(&fixture_root("semantic")).expect("scan fixture workspace");
-    let baseline = Baseline::from_report(&report.diagnostics);
-
-    // Round-trips through the text format.
-    let reparsed = Baseline::parse(&baseline.render()).expect("canonical render parses");
-    let outcome = reparsed.apply(report.diagnostics.clone());
-    assert!(outcome.remaining.is_empty(), "{:#?}", outcome.remaining);
-    assert_eq!(outcome.suppressed, report.diagnostics.len());
-    assert!(outcome.slack.is_empty());
-
-    // The ratchet only goes one way: an empty baseline suppresses
-    // nothing.
-    let empty = Baseline::parse("# nothing budgeted\n").expect("empty baseline parses");
-    assert_eq!(
-        empty.apply(report.diagnostics.clone()).remaining.len(),
-        report.diagnostics.len()
-    );
 }
 
 #[test]
