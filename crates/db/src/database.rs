@@ -13,9 +13,9 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::schema::{
-    medals_data_key, today_data_key, Athlete, AthleteId, Country, CountryId, Event, EventId,
-    EventPhase, MedalCount, NewsArticle, NewsId, Photo, PhotoId, ResultId, ResultRow, Sport,
-    SportId,
+    medals_data_key, photos_data_key, today_data_key, Athlete, AthleteId, Country, CountryId,
+    Event, EventId, EventPhase, MedalCount, NewsArticle, NewsId, Photo, PhotoId, ResultId,
+    ResultRow, Sport, SportId,
 };
 use crate::table::Table;
 use crate::txn::{RecordChange, Transaction, TxnLog};
@@ -228,6 +228,7 @@ impl OlympicDb {
         let mut changes = vec![RecordChange::insert(photo.id.data_key())];
         if let Some(ev) = photo.about_event {
             changes.push(RecordChange::update(ev.data_key()));
+            changes.push(RecordChange::update(photos_data_key(ev)));
         }
         let label = format!("photo {}", photo.id);
         self.tables.write().photos.upsert(photo.id, photo);
@@ -463,6 +464,7 @@ mod tests {
             bytes: 40_000,
         });
         assert!(t2.changes.iter().any(|c| c.data_key == "data:photo:1"));
+        assert!(t2.changes.iter().any(|c| c.data_key == "data:photos:1"));
         assert_eq!(db.news_on_day(3).len(), 1);
         assert_eq!(db.photos_for_event(EventId(1)).len(), 1);
     }

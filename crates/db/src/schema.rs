@@ -206,6 +206,13 @@ pub fn today_data_key(day: u32) -> String {
     format!("data:today:{day}")
 }
 
+/// The data key for the set of photos filed about one event: filing a
+/// photo changes it, so a page listing the event's photos sees new ones
+/// (the per-photo keys only cover photos the page already shows).
+pub fn photos_data_key(event: EventId) -> String {
+    format!("data:photos:{}", event.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +223,7 @@ mod tests {
         assert_eq!(AthleteId(7).data_key(), "data:athlete:7");
         assert_eq!(medals_data_key(), "data:medals:standings");
         assert_eq!(today_data_key(3), "data:today:3");
+        assert_eq!(photos_data_key(EventId(4)), "data:photos:4");
     }
 
     #[test]

@@ -17,7 +17,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use nagano_cache::{CacheConfig, CacheFleet, FragmentStore};
-use nagano_db::{seed_games, AthleteId, GamesConfig, NewsArticle, NewsId, OlympicDb, Transaction};
+use nagano_db::{
+    seed_games, AthleteId, GamesConfig, NewsArticle, NewsId, OlympicDb, Photo, PhotoId, Transaction,
+};
 use nagano_pagegen::{PageKey, PageRegistry, Renderer};
 use nagano_simcore::{DeterministicRng, SimTime};
 use nagano_trigger::{ConsistencyPolicy, TriggerMonitor};
@@ -55,8 +57,9 @@ fn monitor_pair(
 
 /// Deterministic mixed transaction prefix: result batches against random
 /// events (random podium sizes, ~30% finals) interleaved with news
-/// stories on the touched days — together these dirty every fragment
-/// class (result tables, the medal table, headline strips).
+/// stories on the touched days and photos filed about the events —
+/// together these dirty every fragment class (result tables, the medal
+/// table, headline strips) and change the layout of event pages.
 fn generate_txns(
     db: &Arc<OlympicDb>,
     rng: &mut DeterministicRng,
@@ -66,7 +69,14 @@ fn generate_txns(
     (0..n)
         .map(|i| {
             let ev = &events[rng.index(events.len())];
-            if rng.chance(0.25) {
+            if rng.chance(0.2) {
+                db.add_photo(Photo {
+                    id: PhotoId(9_000 + i as u32),
+                    day: ev.day,
+                    about_event: Some(ev.id),
+                    bytes: 40_000,
+                })
+            } else if rng.chance(0.25) {
                 db.publish_news(NewsArticle {
                     id: NewsId(9_000 + i as u32),
                     day: ev.day,
@@ -113,8 +123,10 @@ fn sorted(mut keys: Vec<PageKey>) -> Vec<PageKey> {
 fn check_fragment_equivalence(seed: u64, n: usize) {
     let db = fresh_db();
     let mut rng = DeterministicRng::seed_from_u64(seed);
-    let txns = generate_txns(&db, &mut rng, n);
+    // Warm first, then commit: a page laid out before the transactions
+    // must take up what they add (a photo on an event page, say).
     let (fragmented, legacy, registry) = monitor_pair(&db, ConsistencyPolicy::UpdateInPlace);
+    let txns = generate_txns(&db, &mut rng, n);
     let now = SimTime::from_mins(5);
     for (i, txn) in txns.iter().enumerate() {
         let f = fragmented.process_txn_at(txn, now);
@@ -257,6 +269,31 @@ fn news_pages_compose_identically() {
         &["/news", "/fragments/headlines/"],
         2,
     );
+}
+
+#[test]
+fn photo_pages_compose_identically() {
+    let db = fresh_db();
+    let (fragmented, legacy, _registry) = monitor_pair(&db, ConsistencyPolicy::UpdateInPlace);
+    // A photo filed about an event adds an image to that event's page
+    // layout; a second photo about another event, and a results batch in
+    // between, check the layouts change independently.
+    let evs: Vec<_> = db.events().iter().take(2).cloned().collect();
+    let photo = |id: u32, ev: &nagano_db::Event| {
+        db.add_photo(Photo {
+            id: PhotoId(id),
+            day: ev.day,
+            about_event: Some(ev.id),
+            bytes: 40_000,
+        })
+    };
+    let txns = vec![
+        photo(9_700, &evs[0]),
+        db.record_results(evs[0].id, &final_podium(&db, evs[0].id), false, evs[0].day),
+        photo(9_701, &evs[1]),
+        photo(9_702, &evs[0]),
+    ];
+    check_category(&txns, &fragmented, &legacy, &["/events/"], 2);
 }
 
 #[test]
