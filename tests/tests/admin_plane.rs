@@ -4,7 +4,7 @@
 //! page handler in the plane leaves overload shedding (503 +
 //! Retry-After on the accept thread) untouched.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -143,7 +143,19 @@ fn admin_plane_leaves_overload_shedding_untouched() {
     let (code, body) = busy.join().unwrap();
     assert_eq!(code, 200);
     assert_eq!(&body[..], b"slow");
-    drop(queued);
+    // The queued connection is served, not shed. Reading its response
+    // also waits until it has left the pending slot: a scrape connecting
+    // while it still sits there would be shed, as the backlog is full.
+    let mut queued = queued;
+    queued
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    queued
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut raw = String::new();
+    queued.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
     let mut client = HttpClient::connect(addr).unwrap();
     let (code, _) = client.get("/healthz").unwrap();
     assert_eq!(code, 200);
