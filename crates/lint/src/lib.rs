@@ -1,13 +1,13 @@
-//! `nagano-lint` — workspace determinism, robustness & ODG-semantics linter.
+//! `nagano-lint` — workspace determinism, robustness & lock-order linter.
 //!
 //! The reproduction's north star (DESIGN.md §8, ROADMAP) is that the
 //! simulation is *deterministic*: same seed → same propagation traces,
 //! same freshness percentiles, byte-identical telemetry exports. This
 //! crate enforces that contract statically, plus the robustness rule
 //! that the serving hot path never panics, plus — since the v2
-//! cross-file engine — the semantic invariants the paper's design
-//! depends on: a deadlock-free lock order and a *complete, minimal*
-//! Object Dependence Graph:
+//! cross-file engine — a deadlock-free lock order. (The Object
+//! Dependence Graph needs no rule: the renderer's edges are recorded
+//! from its reads, so a missing edge cannot be written.)
 //!
 //! | rule | enforces |
 //! |------|----------|
@@ -16,8 +16,6 @@
 //! | D003 | no `std::collections::HashMap`/`HashSet` (randomized order) |
 //! | L001 | no cycles in the cross-file lock-acquisition graph (deadlock) |
 //! | L002 | no guard held across a blocking call in serving crates |
-//! | O001 | every renderer data read is covered by a registered ODG edge |
-//! | O002 | no dead ODG edges (registered but never read) |
 //! | R001 | no `.unwrap()`/`.expect()` in `httpd`/`cache`/`trigger`/`odg` |
 //! | R002 | no unbounded crossbeam channels in serving/propagation crates |
 //! | R003 | retry loops bounded with seeded backoff — no bare `loop` retries or unjittered sleeps |
@@ -27,9 +25,8 @@
 //! Linting runs in two passes. Pass 1 ([`model`]) lexes every
 //! production file once, runs the per-file token rules, and builds a
 //! cross-file workspace model (fn symbol table, lock acquisitions with
-//! live-guard tracking, resolvable call edges, and the pagegen
-//! read/edge inventory). Pass 2 runs the semantic rules over that
-//! model: [`locks`] (L001/L002) and [`odg_audit`] (O001/O002).
+//! live-guard tracking and resolvable call edges). Pass 2 runs the
+//! semantic rules over that model: [`locks`] (L001/L002).
 //!
 //! Intentional exceptions carry an inline allowlist annotation with a
 //! mandatory reason (syntax in DESIGN.md §10); a malformed annotation
@@ -49,7 +46,6 @@ mod export;
 mod lexer;
 mod locks;
 mod model;
-mod odg_audit;
 mod rules;
 
 use std::collections::BTreeMap;
@@ -122,8 +118,8 @@ fn collect_rs(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Lint every production source file under `root`: the per-file token
-/// rules, then the cross-file semantic passes (lock graph + ODG audit)
-/// over the workspace model. When the root has a `DESIGN.md`, every
+/// rules, then the cross-file semantic pass (the lock graph) over the
+/// workspace model. When the root has a `DESIGN.md`, every
 /// metric registered in code must also appear in its metric table
 /// (rule T002's documentation half).
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
@@ -152,7 +148,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     // by an annotation in the file it is reported against).
     let workspace = model::WorkspaceModel::build(&sources);
     let mut semantic = locks::run(&workspace);
-    semantic.extend(odg_audit::run(&sources));
     let allows_by_file: BTreeMap<&str, &[Allow]> = sources
         .iter()
         .map(|s| (s.rel.as_str(), s.allows.as_slice()))

@@ -15,7 +15,9 @@
 //! * [`render`] — renders any page from the database, returning the body
 //!   *and the dependency list* the application must register with DUP
 //!   ("an application program is responsible for communicating data
-//!   dependencies ... to the cache").
+//!   dependencies ... to the cache"). The list is recorded from the
+//!   render's own reads by a recording view (`reads`), never written by
+//!   hand.
 //! * [`plan`] — *composition plans* (DESIGN.md §14): the same render pass
 //!   with fragments recorded as slots instead of inlined, so serving can
 //!   splice cached fragment bodies between static skeleton segments and
@@ -33,6 +35,7 @@
 pub mod cost;
 pub mod key;
 pub mod plan;
+mod reads;
 pub mod registry;
 pub mod render;
 pub mod structure;
